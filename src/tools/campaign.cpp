@@ -146,23 +146,10 @@ Result<FaultSchedule> faultScheduleFromJson(const json::Value& value) {
 
 namespace {
 
-/// Lowercase stable identifiers (crashOutcomeName shouts for reports;
-/// corpus files and metric labels want something greppable).
-const char* outcomeKey(CrashOutcome outcome) {
-  switch (outcome) {
-    case CrashOutcome::Recovered: return "recovered";
-    case CrashOutcome::NeedsRepair: return "needs-repair";
-    case CrashOutcome::SilentCorruption: return "silent-corruption";
-    case CrashOutcome::DataLoss: return "data-loss";
-  }
-  return "?";
-}
-
 std::optional<CrashOutcome> outcomeFromKey(std::string_view key) {
-  if (key == "recovered") return CrashOutcome::Recovered;
-  if (key == "needs-repair") return CrashOutcome::NeedsRepair;
-  if (key == "silent-corruption") return CrashOutcome::SilentCorruption;
-  if (key == "data-loss") return CrashOutcome::DataLoss;
+  for (const CrashOutcome outcome : kCrashOutcomes) {
+    if (key == crashOutcomeKey(outcome)) return outcome;
+  }
   return std::nullopt;
 }
 
@@ -342,17 +329,11 @@ Result<GeneratedConfig> generatedConfigFromJson(const json::Value& value) {
   return config;
 }
 
-// --- Op table ----------------------------------------------------------
+// --- Op registry -------------------------------------------------------
 
 namespace {
 
 constexpr std::uint32_t kCanaryBytes = 6144;
-
-std::uint32_t deviceBlockSizeFor(const GeneratedConfig& config) {
-  const std::uint32_t bs = config.mkfs.block_size;
-  const bool pow2 = bs >= 512 && bs <= (1u << 16) && (bs & (bs - 1)) == 0;
-  return pow2 ? bs : 1024;
-}
 
 std::uint32_t deviceBlocksFor(const GeneratedConfig& config) {
   const std::uint32_t fs = std::max(config.mkfs.size_blocks, config.resize_target);
@@ -363,21 +344,6 @@ std::uint32_t resizeTargetFor(const GeneratedConfig& config) {
   return config.resize_target != 0 ? config.resize_target : config.mkfs.size_blocks + 1024;
 }
 
-/// Same recipe as CrashCk's canary, planted under default mount options:
-/// the canary is harness scaffolding, not part of the op under test.
-CrashCanary plantCampaignCanary(BlockDevice& device) {
-  CrashCanary canary;
-  Result<MountedFs> mounted = MountTool::mount(device, MountOptions{});
-  if (!mounted.ok()) return canary;
-  const Result<std::uint32_t> ino = mounted.value().createFile(kCanaryBytes, 2);
-  if (ino.ok()) {
-    canary.ino = ino.value();
-    canary.size_bytes = kCanaryBytes;
-  }
-  mounted.value().unmount();
-  return canary;
-}
-
 void runConfigResize(BlockDevice& device, const GeneratedConfig& config, bool fix) {
   ResizeOptions options;
   options.new_size_blocks = resizeTargetFor(config);
@@ -385,23 +351,28 @@ void runConfigResize(BlockDevice& device, const GeneratedConfig& config, bool fi
   (void)ResizeTool::resize(device, options);
 }
 
-struct CampaignOpSpec {
+struct OpSpec {
   const char* name;
+  /// Fault-free preparation; returns the canary (if any).
   CrashCanary (*setup)(BlockDevice&, const GeneratedConfig&);
+  /// The operation whose writes are enumerated. Structured errors are
+  /// expected (and ignored) once the crash trigger fires.
   void (*run)(BlockDevice&, const GeneratedConfig&);
 };
 
-const std::vector<CampaignOpSpec>& campaignOpSpecs() {
-  static const std::vector<CampaignOpSpec> specs = {
+const std::vector<OpSpec>& opSpecs() {
+  static const std::vector<OpSpec> specs = {
       {"mkfs",
        [](BlockDevice&, const GeneratedConfig&) { return CrashCanary{}; },
        [](BlockDevice& d, const GeneratedConfig& c) { (void)MkfsTool::format(d, c.mkfs); }},
       {"mount",
        [](BlockDevice& d, const GeneratedConfig& c) {
          (void)MkfsTool::format(d, c.mkfs);
-         return plantCampaignCanary(d);
+         return plantCanary(d);
        },
        [](BlockDevice& d, const GeneratedConfig& c) {
+         // One full journal-commit cycle: mount dirties the journal,
+         // the file write mutates metadata, unmount commits.
          Result<MountedFs> mounted = MountTool::mount(d, c.mount);
          if (!mounted.ok()) return;
          (void)mounted.value().createFile(4096, 0);
@@ -410,19 +381,19 @@ const std::vector<CampaignOpSpec>& campaignOpSpecs() {
       {"resize",
        [](BlockDevice& d, const GeneratedConfig& c) {
          (void)MkfsTool::format(d, c.mkfs);
-         return plantCampaignCanary(d);
+         return plantCanary(d);
        },
        [](BlockDevice& d, const GeneratedConfig& c) { runConfigResize(d, c, /*fix=*/true); }},
       {"resize-buggy",
        [](BlockDevice& d, const GeneratedConfig& c) {
          (void)MkfsTool::format(d, c.mkfs);
-         return plantCampaignCanary(d);
+         return plantCanary(d);
        },
        [](BlockDevice& d, const GeneratedConfig& c) { runConfigResize(d, c, /*fix=*/false); }},
       {"defrag",
        [](BlockDevice& d, const GeneratedConfig& c) {
          (void)MkfsTool::format(d, c.mkfs);
-         return plantCampaignCanary(d);
+         return plantCanary(d);
        },
        [](BlockDevice& d, const GeneratedConfig& c) {
          Result<MountedFs> mounted = MountTool::mount(d, c.mount);
@@ -433,18 +404,22 @@ const std::vector<CampaignOpSpec>& campaignOpSpecs() {
       {"tune",
        [](BlockDevice& d, const GeneratedConfig& c) {
          (void)MkfsTool::format(d, c.mkfs);
-         return plantCampaignCanary(d);
+         return plantCanary(d);
        },
        [](BlockDevice& d, const GeneratedConfig& c) { (void)TuneTool::tune(d, c.tune); }},
   };
   return specs;
 }
 
-const CampaignOpSpec* findCampaignSpec(const std::string& op) {
-  for (const CampaignOpSpec& spec : campaignOpSpecs()) {
+const OpSpec* findOpSpec(const std::string& op) {
+  for (const OpSpec& spec : opSpecs()) {
     if (op == spec.name) return &spec;
   }
   return nullptr;
+}
+
+Error unknownOp(const std::string& op) {
+  return makeError("campaign: unknown operation '" + op + "'");
 }
 
 /// Per-(config, op) RNG stream: schedules must not change when other
@@ -465,17 +440,49 @@ std::uint64_t cellSeed(std::uint64_t seed, std::size_t config_index, const std::
 
 std::vector<std::string> campaignOpNames() {
   std::vector<std::string> names;
-  for (const CampaignOpSpec& spec : campaignOpSpecs()) names.emplace_back(spec.name);
+  for (const OpSpec& spec : opSpecs()) names.emplace_back(spec.name);
   return names;
+}
+
+BlockDevice cellDevice(const GeneratedConfig& config) {
+  const std::uint32_t bs = config.mkfs.block_size;
+  const bool pow2 = bs >= 512 && bs <= (1u << 16) && (bs & (bs - 1)) == 0;
+  return BlockDevice(deviceBlocksFor(config), pow2 ? bs : 1024);
+}
+
+CrashCanary plantCanary(BlockDevice& device) {
+  CrashCanary canary;
+  Result<MountedFs> mounted = MountTool::mount(device, MountOptions{});
+  if (!mounted.ok()) return canary;
+  const Result<std::uint32_t> ino = mounted.value().createFile(kCanaryBytes, 2);
+  if (ino.ok()) {
+    canary.ino = ino.value();
+    canary.size_bytes = kCanaryBytes;
+  }
+  mounted.value().unmount();
+  return canary;
+}
+
+Result<std::uint64_t> countOpWrites(const GeneratedConfig& config, const std::string& op) {
+  const OpSpec* spec = findOpSpec(op);
+  if (spec == nullptr) return unknownOp(op);
+  BlockDevice device = cellDevice(config);
+  try {
+    (void)spec->setup(device, config);
+    device.resetStats();
+    spec->run(device, config);
+  } catch (const IoError&) {
+  }
+  return device.writeCount();
 }
 
 // --- Cell execution ----------------------------------------------------
 
-Result<CellOutcome> runCampaignCell(const GeneratedConfig& config, const std::string& op,
-                                    const FaultSchedule& schedule, std::uint64_t seed) {
-  const CampaignOpSpec* spec = findCampaignSpec(op);
-  if (spec == nullptr) return makeError("campaign: unknown operation '" + op + "'");
-  BlockDevice device(deviceBlocksFor(config), deviceBlockSizeFor(config));
+Result<CellOutcome> runCellOn(BlockDevice& device, const GeneratedConfig& config,
+                              const std::string& op, const FaultSchedule& schedule,
+                              std::uint64_t seed) {
+  const OpSpec* spec = findOpSpec(op);
+  if (spec == nullptr) return unknownOp(op);
   const CrashCanary canary = spec->setup(device, config);
   if (!schedule.empty()) device.setFaultPlan(compileFaultSchedule(schedule, seed));
   try {
@@ -487,7 +494,14 @@ Result<CellOutcome> runCampaignCell(const GeneratedConfig& config, const std::st
 
   CellOutcome out;
   out.outcome = classifyPostCrashImage(device, canary, out.detail);
-  out.digest = imageStateDigest(device);
+  return out;
+}
+
+Result<CellOutcome> runCampaignCell(const GeneratedConfig& config, const std::string& op,
+                                    const FaultSchedule& schedule, std::uint64_t seed) {
+  BlockDevice device = cellDevice(config);
+  Result<CellOutcome> out = runCellOn(device, config, op, schedule, seed);
+  if (out.ok()) out.value().digest = imageStateDigest(device);
   return out;
 }
 
@@ -596,16 +610,10 @@ Result<CampaignReport> runMatrixCampaign(const CampaignOptions& options,
   CampaignReport report;
   report.seed = options.seed;
 
-  const std::vector<std::string> known = campaignOpNames();
-  if (options.ops.empty()) {
-    report.ops = known;
-  } else {
-    for (const std::string& op : options.ops) {
-      if (std::find(known.begin(), known.end(), op) == known.end())
-        return makeError("campaign: unknown operation '" + op + "'");
-    }
-    report.ops = options.ops;
+  for (const std::string& op : options.ops) {
+    if (findOpSpec(op) == nullptr) return unknownOp(op);
   }
+  report.ops = options.ops.empty() ? campaignOpNames() : options.ops;
 
   SamplingOptions sampling;
   sampling.each_used_value = true;
@@ -625,19 +633,9 @@ Result<CampaignReport> runMatrixCampaign(const CampaignOptions& options,
   std::vector<std::uint64_t> writes(n_configs * n_ops, 0);
   ThreadPool::parallelFor(n_configs * n_ops, options.jobs, [&](std::size_t i) {
     obs::Span plan_span("campaign", "plan-op");
-    const std::size_t ci = i / n_ops;
-    const std::size_t oi = i % n_ops;
-    const GeneratedConfig& config = report.configs[ci].config;
-    const CampaignOpSpec* spec = findCampaignSpec(report.ops[oi]);
-    plan_span.arg("op", report.ops[oi]);
-    BlockDevice device(deviceBlocksFor(config), deviceBlockSizeFor(config));
-    try {
-      (void)spec->setup(device, config);
-      device.resetStats();
-      spec->run(device, config);
-    } catch (const IoError&) {
-    }
-    writes[i] = device.writeCount();
+    const std::string& op = report.ops[i % n_ops];
+    plan_span.arg("op", op);
+    writes[i] = countOpWrites(report.configs[i / n_ops].config, op).value();
   });
 
   // Phase 2 (serial): schedule generation. Serial on purpose — the RNG
@@ -706,7 +704,8 @@ Result<CampaignReport> runMatrixCampaign(const CampaignOptions& options,
         options.cell_retries);
     registry.counter("campaign.cells", {{"op", cell.op}}).add();
     if (result.status == CellStatus::Done) {
-      registry.counter("campaign.outcome", {{"outcome", outcomeKey(result.outcome)}}).add();
+      registry.counter("campaign.outcome", {{"outcome", crashOutcomeKey(result.outcome)}})
+          .add();
     } else {
       registry.counter("campaign.failed_cells").add();
       FSDEP_LOG_WARN("campaign", "cell %zu (%s, config %zu) failed: %s", i, cell.op.c_str(),
@@ -803,10 +802,7 @@ int CampaignReport::totalFailed() const {
 }
 
 std::string CampaignReport::histogram() const {
-  return "recovered=" + std::to_string(totalOf(CrashOutcome::Recovered)) +
-         " needs-repair=" + std::to_string(totalOf(CrashOutcome::NeedsRepair)) +
-         " silent-corruption=" + std::to_string(totalOf(CrashOutcome::SilentCorruption)) +
-         " data-loss=" + std::to_string(totalOf(CrashOutcome::DataLoss)) +
+  return outcomeHistogram([this](CrashOutcome outcome) { return totalOf(outcome); }) +
          " failed=" + std::to_string(totalFailed());
 }
 
@@ -839,7 +835,7 @@ std::string CampaignReport::renderText() const {
     const CellResult& result = results[i];
     if (result.status != CellStatus::Done || result.duplicate) continue;
     const CampaignCell& cell = cells[i];
-    text += "  " + cell.op + " " + std::string(outcomeKey(result.outcome)) + " digest " +
+    text += "  " + cell.op + " " + std::string(crashOutcomeKey(result.outcome)) + " digest " +
             digestHex(result.digest) + " x" + std::to_string(class_size[i]) + "  (cell #" +
             std::to_string(i) + ", config " + std::to_string(cell.config_index) + ", " +
             faultScheduleSummary(cell.schedule) + ")";
@@ -863,7 +859,7 @@ std::string CampaignReport::renderText() const {
   if (!repros.empty()) {
     text += "minimized reproducers (" + std::to_string(repros.size()) + "):\n";
     for (const MinimizedRepro& repro : repros)
-      text += "  " + repro.op + " " + std::string(outcomeKey(repro.outcome)) + " digest " +
+      text += "  " + repro.op + " " + std::string(crashOutcomeKey(repro.outcome)) + " digest " +
               digestHex(repro.digest) + " config " + std::to_string(repro.config_index) + ": " +
               faultScheduleSummary(repro.schedule) + "  [" +
               std::to_string(repro.schedule.size()) + " event(s), " +
@@ -916,7 +912,7 @@ json::Object CampaignReport::toJson() const {
       const CellResult& result = results[i];
       obj["status"] = cellStatusName(result.status);
       if (result.status == CellStatus::Done) {
-        obj["outcome"] = outcomeKey(result.outcome);
+        obj["outcome"] = crashOutcomeKey(result.outcome);
         obj["digest"] = digestHex(result.digest);
         obj["duplicate"] = result.duplicate;
         if (result.duplicate) obj["first_cell"] = static_cast<std::uint64_t>(result.first_cell);
@@ -943,7 +939,7 @@ json::Object reproToJson(const MinimizedRepro& repro, const GeneratedConfig& con
   doc["version"] = kCampaignCorpusVersion;
   doc["kind"] = "campaign-repro";
   doc["op"] = repro.op;
-  doc["outcome"] = outcomeKey(repro.outcome);
+  doc["outcome"] = crashOutcomeKey(repro.outcome);
   doc["digest"] = digestHex(repro.digest);
   doc["seed"] = static_cast<std::uint64_t>(seed);
   doc["detail"] = repro.detail;
@@ -964,8 +960,8 @@ Result<std::vector<std::string>> persistCampaignCorpus(const CampaignReport& rep
   std::vector<std::string> paths;
   for (const MinimizedRepro& repro : report.repros) {
     const std::string hex = digestHex(repro.digest);
-    const std::string name = "campaign-" + repro.op + "-" + outcomeKey(repro.outcome) + "-" +
-                             hex.substr(2) + ".json";
+    const std::string name = "campaign-" + repro.op + "-" + crashOutcomeKey(repro.outcome) +
+                             "-" + hex.substr(2) + ".json";
     const std::filesystem::path path = std::filesystem::path(dir) / name;
     const json::Object doc =
         reproToJson(repro, report.configs[repro.config_index].config, report.seed);

@@ -1,11 +1,13 @@
 // Campaign engine: explores the crash-point × fault-schedule ×
-// configuration matrix at scale. CrashCk (PR 1) enumerates crash points
-// for ONE fixed configuration per tool; the campaign engine runs the
-// same experiment over a dependency-aware sample of the configuration
-// space (tools/confgen: each-used-value + pairwise over the mkfs/tune
-// knobs, repaired against the extracted dependency set), and adds
-// multi-fault schedules — crash plus transient media errors plus
-// device-death — to every sampled configuration.
+// configuration matrix at scale. It owns the one fault-exploration
+// engine: the op registry, the canary, the device geometry and the cell
+// runner. CrashCk is a preset over it (one configuration per op, a
+// crash at every write); the matrix campaign runs the same cells over a
+// dependency-aware sample of the configuration space (tools/confgen:
+// each-used-value + pairwise over the mkfs/tune knobs, repaired against
+// the extracted dependency set) and adds multi-fault schedules — crash
+// plus transient media errors plus device-death — to every sampled
+// configuration.
 //
 // Robustness is the engine's own core:
 //   * outcomes are deduplicated by a canonical post-recovery FS-state
@@ -79,9 +81,24 @@ Result<GeneratedConfig> generatedConfigFromJson(const json::Value& value);
 
 // --- Cells -------------------------------------------------------------
 
-/// The operations a campaign can torture; same list as CrashCk, but
-/// every op is parameterized by the sampled configuration.
+/// The op registry: the operations a campaign (and CrashCk) can
+/// torture, each parameterized by a configuration.
 std::vector<std::string> campaignOpNames();
+
+/// A fresh, zeroed device for `config`: the mkfs block size when it is
+/// a valid device block size (else 1 KiB), and room for the filesystem
+/// or its resize target plus 2048 blocks, at least 8192 blocks.
+fsim::BlockDevice cellDevice(const GeneratedConfig& config);
+
+/// Plants the canary file on a formatted device: mounted under default
+/// options, deliberately fragmented (so defrag has work), cleanly
+/// unmounted. No canary (ino 0) when the device does not mount.
+CrashCanary plantCanary(fsim::BlockDevice& device);
+
+/// Persisted writes of a fault-free run of `op` under `config`, setup
+/// excluded. The plan-relative write index counts exactly these, so the
+/// op's crash points are 0 .. count-1.
+Result<std::uint64_t> countOpWrites(const GeneratedConfig& config, const std::string& op);
 
 struct CampaignCell {
   std::size_t config_index = 0;
@@ -95,9 +112,16 @@ struct CellOutcome {
   std::string detail;
 };
 
-/// Runs one (config, op, schedule) cell on a fresh device: fault-free
-/// setup, install the compiled schedule, run the op, reboot, classify
-/// (classifyPostCrashImage) and digest the post-recovery state.
+/// The cell core shared by the campaign and CrashCk, on a fresh `device`
+/// from cellDevice(config): fault-free setup, install the compiled
+/// schedule, run the op, reboot, classify (classifyPostCrashImage). The
+/// recovered image stays on `device`; `digest` is left 0.
+Result<CellOutcome> runCellOn(fsim::BlockDevice& device, const GeneratedConfig& config,
+                              const std::string& op, const FaultSchedule& schedule,
+                              std::uint64_t seed);
+
+/// Runs one (config, op, schedule) cell on a fresh device (runCellOn)
+/// and digests the post-recovery state.
 /// Deterministic in (config, op, schedule, seed). Errors (unknown op)
 /// are structured; exceptions escape only for harness bugs.
 Result<CellOutcome> runCampaignCell(const GeneratedConfig& config, const std::string& op,

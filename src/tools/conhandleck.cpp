@@ -6,7 +6,7 @@
 #include "corpus/pipeline.h"
 #include "obs/log.h"
 #include "obs/trace.h"
-#include "tools/crashck.h"
+#include "tools/campaign.h"
 #include "fsim/fsck.h"
 #include "fsim/mkfs.h"
 #include "fsim/mount.h"
@@ -48,18 +48,16 @@ std::string HandleCheckReport::summary() const {
 
 namespace {
 
-MkfsOptions baseMkfs() {
-  MkfsOptions o;
-  o.block_size = 1024;
-  o.size_blocks = 2048;
-  o.blocks_per_group = 512;
-  o.inode_ratio = 8192;
-  return o;
+/// A fresh device sized by the campaign's geometry rule for `options`.
+BlockDevice deviceFor(const MkfsOptions& options) {
+  GeneratedConfig config = baselineConfig();
+  config.mkfs = options;
+  return cellDevice(config);
 }
 
-/// Formats a valid baseline image on a fresh device.
+/// Formats a valid image on a fresh device.
 std::optional<BlockDevice> makeImage(const MkfsOptions& options) {
-  BlockDevice device(8192, options.block_size);
+  BlockDevice device = deviceFor(options);
   if (!MkfsTool::format(device, options).ok()) return std::nullopt;
   return device;
 }
@@ -147,12 +145,7 @@ std::string nameOf(const std::string& qualified) {
 
 /// Runs mkfs with the given (possibly invalid) options and classifies.
 HandleOutcome classifyMkfs(const MkfsOptions& options, std::string& detail) {
-  const std::uint32_t device_bs =
-      (options.block_size >= 512 && options.block_size <= 1 << 20 &&
-       (options.block_size & (options.block_size - 1)) == 0)
-          ? options.block_size
-          : 1024;
-  BlockDevice device(8192, device_bs);
+  BlockDevice device = deviceFor(options);
   const Result<Superblock> result = MkfsTool::format(device, options);
   if (!result.ok()) {
     detail = result.error().message;
@@ -169,7 +162,7 @@ HandleOutcome classifyMkfs(const MkfsOptions& options, std::string& detail) {
 
 /// Mounts with (possibly invalid) options on a valid image.
 HandleOutcome classifyMount(const MountOptions& options, std::string& detail) {
-  std::optional<BlockDevice> device = makeImage(baseMkfs());
+  std::optional<BlockDevice> device = makeImage(baselineConfig().mkfs);
   if (!device) {
     detail = "baseline image could not be created";
     return HandleOutcome::NotApplicable;
@@ -192,7 +185,7 @@ HandleOutcome classifyMount(const MountOptions& options, std::string& detail) {
 /// Corrupts one superblock field on a valid image, then mounts.
 HandleOutcome classifyFieldViolation(const std::string& field, std::int64_t value,
                                      std::string& detail) {
-  std::optional<BlockDevice> device = makeImage(baseMkfs());
+  std::optional<BlockDevice> device = makeImage(baselineConfig().mkfs);
   if (!device) return HandleOutcome::NotApplicable;
   FsImage image(*device);
   Superblock sb = image.loadSuperblock();
@@ -217,11 +210,7 @@ HandleOutcome classifyResizeProbe(const MkfsOptions& mkfs_options, std::uint32_t
                                   bool online, std::string& detail) {
   std::optional<BlockDevice> device = makeImage(mkfs_options);
   if (!device) return HandleOutcome::NotApplicable;
-  Result<MountedFs> mounted = MountTool::mount(*device, MountOptions{});
-  if (mounted.ok()) {
-    (void)mounted.value().createFile(6144, 2);
-    mounted.value().unmount();
-  }
+  (void)plantCanary(*device);
   ResizeOptions ro;
   ro.new_size_blocks = new_size;
   ro.online = online;
@@ -244,6 +233,7 @@ HandleOutcome classifyResizeProbe(const MkfsOptions& mkfs_options, std::uint32_t
 HandleCheckReport runHandleCheck(const std::vector<Dependency>& deps) {
   obs::Span span("conhandleck", "handle-check");
   HandleCheckReport report;
+  const GeneratedConfig base = baselineConfig();
 
   for (const Dependency& dep : deps) {
     HandleCase hc;
@@ -260,7 +250,7 @@ HandleCheckReport runHandleCheck(const std::vector<Dependency>& deps) {
         if (dep.op == ConstraintOp::MultipleOf && dep.low) bad_value = *dep.low + 1;
         hc.description = dep.param + " = " + std::to_string(bad_value);
         if (component == "mke2fs") {
-          MkfsOptions o = baseMkfs();
+          MkfsOptions o = base.mkfs;
           if (!setMkfsValue(o, name, bad_value)) break;
           hc.outcome = classifyMkfs(o, hc.detail);
         } else if (component == "mount") {
@@ -290,13 +280,13 @@ HandleCheckReport runHandleCheck(const std::vector<Dependency>& deps) {
                          (enable_other ? " enabled" : " disabled");
         if (component == "resize2fs" && name == "online") {
           // CCD-control: online resize without the resize_inode reserve.
-          MkfsOptions o = baseMkfs();
+          MkfsOptions o = base.mkfs;
           o.resize_inode = false;
-          hc.outcome = classifyResizeProbe(o, 3072, /*online=*/true, hc.detail);
+          hc.outcome = classifyResizeProbe(o, base.resize_target, /*online=*/true, hc.detail);
           break;
         }
         if (component == "mke2fs" && other_component == "mke2fs") {
-          MkfsOptions o = baseMkfs();
+          MkfsOptions o = base.mkfs;
           bool ok = setMkfsFlag(o, name, true);
           ok = setMkfsFlag(o, other_name, enable_other) && ok;
           if (name == "sparse_super2" || other_name == "sparse_super2") {
@@ -318,44 +308,34 @@ HandleCheckReport runHandleCheck(const std::vector<Dependency>& deps) {
       case DepKind::CpdValue: {
         hc.description = "violate " + dep.summary();
         if (dep.param == "mke2fs.inode_size" && dep.other_param == "mke2fs.blocksize") {
-          MkfsOptions o = baseMkfs();
+          MkfsOptions o = base.mkfs;
           o.block_size = 1024;
           o.inode_size = 2048;
           hc.outcome = classifyMkfs(o, hc.detail);
         } else if (dep.param == "mke2fs.blocks_per_group") {
-          MkfsOptions o = baseMkfs();
+          MkfsOptions o = base.mkfs;
           o.block_size = 1024;
           o.blocks_per_group = 16384;  // > 8 * blocksize
           hc.outcome = classifyMkfs(o, hc.detail);
         } else if (dep.param == "mke2fs.cluster_size") {
-          MkfsOptions o = baseMkfs();
+          MkfsOptions o = base.mkfs;
           o.bigalloc = true;
           o.cluster_size = 512;  // < blocksize
           hc.outcome = classifyMkfs(o, hc.detail);
         } else if (dep.param == "mke2fs.inode_ratio") {
-          MkfsOptions o = baseMkfs();
+          MkfsOptions o = base.mkfs;
           o.block_size = 4096;
           o.size_blocks = 0;
           o.blocks_per_group = 0;
           o.inode_ratio = 2048;  // < blocksize
-          {
-            BlockDevice device(2048, 4096);
-            const Result<Superblock> r = MkfsTool::format(device, o);
-            if (!r.ok()) {
-              hc.outcome = HandleOutcome::RejectedGracefully;
-              hc.detail = r.error().message;
-            } else {
-              hc.outcome = HandleOutcome::SilentAccept;
-              hc.detail = "accepted";
-            }
-          }
+          hc.outcome = classifyMkfs(o, hc.detail);
         } else if (dep.param == "mount.min_batch_time") {
           MountOptions o;
           o.min_batch_time = 30000;
           o.max_batch_time = 15000;
           hc.outcome = classifyMount(o, hc.detail);
         } else if (dep.param == "mke2fs.size") {
-          MkfsOptions o = baseMkfs();
+          MkfsOptions o = base.mkfs;
           o.size_blocks = 4;  // below the whole-image minimum
           hc.outcome = classifyMkfs(o, hc.detail);
         }
@@ -365,30 +345,31 @@ HandleCheckReport runHandleCheck(const std::vector<Dependency>& deps) {
       case DepKind::CcdValue: {
         // resize2fs.size >= reserved minimum: shrink below it.
         hc.description = "shrink below the reserved minimum";
-        hc.outcome = classifyResizeProbe(baseMkfs(), 16, /*online=*/false, hc.detail);
+        hc.outcome = classifyResizeProbe(base.mkfs, 16, /*online=*/false, hc.detail);
         break;
       }
 
       case DepKind::CcdBehavioral: {
         // Boundary probes: exercise the behaviour the dependency gates.
         if (dep.other_param == "mke2fs.sparse_super2") {
-          MkfsOptions o = baseMkfs();
+          MkfsOptions o = base.mkfs;
           o.sparse_super2 = true;
           o.resize_inode = false;
           hc.description = "grow a sparse_super2 filesystem (Figure 1)";
-          hc.outcome = classifyResizeProbe(o, 3072, /*online=*/false, hc.detail);
+          hc.outcome = classifyResizeProbe(o, base.resize_target, /*online=*/false, hc.detail);
         } else if (dep.other_param == "mke2fs.size") {
           hc.description = "grow past the creation size";
-          hc.outcome = classifyResizeProbe(baseMkfs(), 3072, /*online=*/false, hc.detail);
+          hc.outcome =
+              classifyResizeProbe(base.mkfs, base.resize_target, /*online=*/false, hc.detail);
         } else if (dep.other_param == "mke2fs.blocksize") {
-          MkfsOptions o = baseMkfs();
+          MkfsOptions o = base.mkfs;
           hc.description = "resize with a non-default block size";
-          hc.outcome = classifyResizeProbe(o, 3072, /*online=*/false, hc.detail);
+          hc.outcome = classifyResizeProbe(o, base.resize_target, /*online=*/false, hc.detail);
         } else if (dep.other_param == "mke2fs.label") {
-          MkfsOptions o = baseMkfs();
+          MkfsOptions o = base.mkfs;
           o.label = "scratch";
           hc.description = "resize a labelled filesystem";
-          hc.outcome = classifyResizeProbe(o, 3072, /*online=*/false, hc.detail);
+          hc.outcome = classifyResizeProbe(o, base.resize_target, /*online=*/false, hc.detail);
         } else {
           hc.description = "behavioural probe for " + dep.summary();
           hc.outcome = HandleOutcome::NotApplicable;
@@ -510,7 +491,7 @@ HandleCheckReport runTuneProbes() {
   HandleCheckReport report;
 
   {
-    MkfsOptions base = baseMkfs();
+    MkfsOptions base = baselineConfig().mkfs;
     base.quota = true;
     TuneOptions t;
     t.has_journal = false;
@@ -525,7 +506,7 @@ HandleCheckReport runTuneProbes() {
     report.cases.push_back(tuneProbe("tune-drop-journal",
                                      "drop the journal of a plain filesystem (no dependency "
                                      "violated)",
-                                     baseMkfs(), t));
+                                     baselineConfig().mkfs, t));
   }
   {
     TuneOptions t;
@@ -533,10 +514,10 @@ HandleCheckReport runTuneProbes() {
     report.cases.push_back(tuneProbe("tune-sparse2-resize-inode",
                                      "enable sparse_super2 while resize_inode exists "
                                      "(violates the exclusion)",
-                                     baseMkfs(), t));
+                                     baselineConfig().mkfs, t));
   }
   {
-    MkfsOptions base = baseMkfs();
+    MkfsOptions base = baselineConfig().mkfs;
     base.resize_inode = false;
     TuneOptions t;
     t.sparse_super2 = true;
@@ -551,14 +532,14 @@ HandleCheckReport runTuneProbes() {
     report.cases.push_back(tuneProbe("tune-csum-uninit",
                                      "enable metadata_csum together with uninit_bg "
                                      "(violates the exclusion)",
-                                     baseMkfs(), t));
+                                     baselineConfig().mkfs, t));
   }
   {
     TuneOptions t;
     t.reserved_blocks_count = 100000;
     report.cases.push_back(tuneProbe("tune-reserved-cap",
                                      "reserve more blocks than the filesystem holds",
-                                     baseMkfs(), t));
+                                     baselineConfig().mkfs, t));
   }
   return report;
 }

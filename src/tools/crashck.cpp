@@ -1,18 +1,12 @@
 #include "tools/crashck.h"
 
-#include <functional>
-
+#include "fsim/fsck.h"
+#include "fsim/image.h"
+#include "fsim/mount.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-
-#include "fsim/defrag.h"
-#include "fsim/fsck.h"
-#include "fsim/image.h"
-#include "fsim/mkfs.h"
-#include "fsim/mount.h"
-#include "fsim/resize.h"
-#include "fsim/tune.h"
+#include "tools/campaign.h"
 
 namespace fsdep::tools {
 
@@ -28,6 +22,25 @@ const char* crashOutcomeName(CrashOutcome outcome) {
   return "?";
 }
 
+const char* crashOutcomeKey(CrashOutcome outcome) {
+  switch (outcome) {
+    case CrashOutcome::Recovered: return "recovered";
+    case CrashOutcome::NeedsRepair: return "needs-repair";
+    case CrashOutcome::SilentCorruption: return "silent-corruption";
+    case CrashOutcome::DataLoss: return "data-loss";
+  }
+  return "?";
+}
+
+std::string outcomeHistogram(const std::function<int(CrashOutcome)>& count) {
+  std::string text;
+  for (const CrashOutcome outcome : kCrashOutcomes) {
+    if (!text.empty()) text += ' ';
+    text += std::string(crashOutcomeKey(outcome)) + "=" + std::to_string(count(outcome));
+  }
+  return text;
+}
+
 int CrashOpReport::countOf(CrashOutcome outcome) const {
   int n = 0;
   for (const CrashPoint& p : points) n += p.outcome == outcome ? 1 : 0;
@@ -35,10 +48,7 @@ int CrashOpReport::countOf(CrashOutcome outcome) const {
 }
 
 std::string CrashOpReport::histogram() const {
-  return "recovered=" + std::to_string(countOf(CrashOutcome::Recovered)) +
-         " needs-repair=" + std::to_string(countOf(CrashOutcome::NeedsRepair)) +
-         " silent-corruption=" + std::to_string(countOf(CrashOutcome::SilentCorruption)) +
-         " data-loss=" + std::to_string(countOf(CrashOutcome::DataLoss));
+  return outcomeHistogram([this](CrashOutcome outcome) { return countOf(outcome); });
 }
 
 int CrashCkReport::totalOf(CrashOutcome outcome) const {
@@ -51,129 +61,25 @@ std::string CrashCkReport::summary() const {
   std::size_t points = 0;
   for (const CrashOpReport& op : ops) points += op.points.size();
   return std::to_string(ops.size()) + " op(s), " + std::to_string(points) +
-         " crash point(s): recovered=" + std::to_string(totalOf(CrashOutcome::Recovered)) +
-         " needs-repair=" + std::to_string(totalOf(CrashOutcome::NeedsRepair)) +
-         " silent-corruption=" + std::to_string(totalOf(CrashOutcome::SilentCorruption)) +
-         " data-loss=" + std::to_string(totalOf(CrashOutcome::DataLoss));
+         " crash point(s): " +
+         outcomeHistogram([this](CrashOutcome outcome) { return totalOf(outcome); });
 }
 
 namespace {
 
-// Same geometry as ConHandleCk's baseline image: the campaigns must
-// agree about what filesystem they are torturing.
-constexpr std::uint32_t kDeviceBlocks = 8192;
-constexpr std::uint32_t kBlockSize = 1024;
-constexpr std::uint32_t kResizeTarget = 3072;
-constexpr std::uint32_t kCanaryBytes = 6144;
-
-MkfsOptions baseMkfs(bool sparse2) {
-  MkfsOptions o;
-  o.block_size = kBlockSize;
-  o.size_blocks = 2048;
-  o.blocks_per_group = 512;
-  o.inode_ratio = 8192;
-  if (sparse2) {
-    o.sparse_super2 = true;
-    o.resize_inode = false;
-  }
-  return o;
-}
-
-/// Plants the canary file: mounted, deliberately fragmented (so defrag
-/// has work), cleanly unmounted.
-CrashCanary plantCanary(BlockDevice& device) {
-  CrashCanary canary;
-  Result<MountedFs> mounted = MountTool::mount(device, MountOptions{});
-  if (!mounted.ok()) return canary;
-  const Result<std::uint32_t> ino = mounted.value().createFile(kCanaryBytes, 2);
-  if (ino.ok()) {
-    canary.ino = ino.value();
-    canary.size_bytes = kCanaryBytes;
-  }
-  mounted.value().unmount();
-  return canary;
-}
-
-void runResize(BlockDevice& device, bool fix) {
-  ResizeOptions ro;
-  ro.new_size_blocks = kResizeTarget;
-  ro.fix_sparse_super2_accounting = fix;
-  (void)ResizeTool::resize(device, ro);
-}
-
-struct OpSpec {
-  const char* name;
-  /// Fault-free preparation; returns the canary (if any).
-  std::function<CrashCanary(BlockDevice&)> setup;
-  /// The operation whose writes are enumerated. Structured errors are
-  /// expected (and ignored) once the crash trigger fires.
-  std::function<void(BlockDevice&)> run;
-};
-
-const std::vector<OpSpec>& opSpecs() {
-  static const std::vector<OpSpec> specs = {
-      {"mkfs",
-       [](BlockDevice&) { return CrashCanary{}; },
-       [](BlockDevice& d) { (void)MkfsTool::format(d, baseMkfs(false)); }},
-      {"mount",
-       [](BlockDevice& d) {
-         (void)MkfsTool::format(d, baseMkfs(false));
-         return plantCanary(d);
-       },
-       [](BlockDevice& d) {
-         // One full journal-commit cycle: mount dirties the journal,
-         // the file write mutates metadata, unmount commits.
-         Result<MountedFs> mounted = MountTool::mount(d, MountOptions{});
-         if (!mounted.ok()) return;
-         (void)mounted.value().createFile(4096, 0);
-         mounted.value().unmount();
-       }},
-      {"resize",
-       [](BlockDevice& d) {
-         (void)MkfsTool::format(d, baseMkfs(true));
-         return plantCanary(d);
-       },
-       [](BlockDevice& d) { runResize(d, /*fix=*/true); }},
-      {"resize-buggy",
-       [](BlockDevice& d) {
-         (void)MkfsTool::format(d, baseMkfs(true));
-         return plantCanary(d);
-       },
-       [](BlockDevice& d) { runResize(d, /*fix=*/false); }},
-      {"defrag",
-       [](BlockDevice& d) {
-         (void)MkfsTool::format(d, baseMkfs(false));
-         return plantCanary(d);
-       },
-       [](BlockDevice& d) {
-         Result<MountedFs> mounted = MountTool::mount(d, MountOptions{});
-         if (!mounted.ok()) return;
-         (void)DefragTool::run(mounted.value(), d, DefragOptions{});
-         mounted.value().unmount();
-       }},
-      {"tune",
-       [](BlockDevice& d) {
-         (void)MkfsTool::format(d, baseMkfs(false));
-         return plantCanary(d);
-       },
-       [](BlockDevice& d) {
-         TuneOptions t;
-         t.label = "crashck";
-         t.max_mount_count = 64;
-         t.reserved_blocks_count = 64;
-         (void)TuneTool::tune(d, t);
-       }},
-  };
-  return specs;
+/// CrashCk's preset: the campaign baseline configuration, with the
+/// sparse_super2 layout (the Figure 1 precondition) for the resize ops.
+GeneratedConfig crashCkConfig(const std::string& op) {
+  GeneratedConfig config = baselineConfig();
+  config.tune.label = "crashck";
+  if (op == "resize" || op == "resize-buggy")
+    applyKnob(config, /*layout=*/1, /*sparse_super2=*/1);
+  return config;
 }
 
 }  // namespace
 
-std::vector<std::string> crashCkOpNames() {
-  std::vector<std::string> names;
-  for (const OpSpec& s : opSpecs()) names.emplace_back(s.name);
-  return names;
-}
+std::vector<std::string> crashCkOpNames() { return campaignOpNames(); }
 
 CrashOutcome classifyPostCrashImage(BlockDevice& device, const CrashCanary& canary,
                                     std::string& detail) {
@@ -231,49 +137,30 @@ CrashOutcome classifyPostCrashImage(BlockDevice& device, const CrashCanary& cana
 Result<CrashOpReport> runCrashOp(const std::string& op, std::uint64_t seed) {
   obs::Span span("crashck", "crash-op");
   span.arg("op", op);
-  const OpSpec* spec = nullptr;
-  for (const OpSpec& s : opSpecs()) {
-    if (op == s.name) spec = &s;
-  }
-  if (spec == nullptr) return makeError("crashck: unknown operation '" + op + "'");
+  const GeneratedConfig config = crashCkConfig(op);
+
+  // Pass 1: count the persisted writes of a fault-free run; the op's
+  // crash points are 0 .. total-1.
+  const Result<std::uint64_t> writes = countOpWrites(config, op);
+  if (!writes.ok()) return makeError("crashck: unknown operation '" + op + "'");
 
   CrashOpReport report;
   report.op = op;
-
-  // Pass 1: count the persisted writes of a fault-free run. Because the
-  // plan-relative index counts exactly those, the op's crash points are
-  // 0 .. total-1.
-  {
-    BlockDevice device(kDeviceBlocks, kBlockSize);
-    (void)spec->setup(device);
-    device.resetStats();
-    spec->run(device);
-    report.total_writes = device.writeCount();
-  }
+  report.total_writes = writes.value();
 
   // Pass 2: re-execute from scratch, crashing at every write index.
   for (std::uint64_t index = 0; index <= report.total_writes; ++index) {
     const bool control = index == report.total_writes;
-    BlockDevice device(kDeviceBlocks, kBlockSize);
-    const CrashCanary canary = spec->setup(device);
-    if (!control) {
-      FaultPlan plan;
-      plan.seed = seed;
-      plan.crash_at_write = index;
-      plan.torn_mode = TornMode::Seeded;
-      device.setFaultPlan(plan);
-    }
-    try {
-      spec->run(device);
-    } catch (const IoError&) {
-      // The tools return structured errors; this is a backstop only.
-    }
-    device.clearFaults();  // the machine comes back up
+    FaultSchedule schedule;
+    if (!control) schedule.push_back(FaultEvent{FaultEventKind::CrashAtWrite, index, 0, 0});
+    BlockDevice device = cellDevice(config);
+    CellOutcome cell = runCellOn(device, config, op, schedule, seed).take();
 
     CrashPoint point;
     point.write_index = index;
     point.control = control;
-    point.outcome = classifyPostCrashImage(device, canary, point.detail);
+    point.outcome = cell.outcome;
+    point.detail = std::move(cell.detail);
     obs::Registry::global()
         .counter("crashck.outcome", {{"outcome", crashOutcomeName(point.outcome)}})
         .add();

@@ -1,17 +1,23 @@
-// CrashCk: deterministic crash-point and fault-schedule enumeration
-// across the fsim toolchain. For every write a tool issues, the harness
-// re-executes the tool on a fresh image with a FaultPlan that freezes
-// the device at exactly that write (persisting a seeded torn prefix),
-// then recovers — remount (journal replay) plus fsck — and classifies
-// what a user would experience. The paper's §4.2 usage 2 asks whether
-// misconfigurations are handled gracefully; CrashCk asks the companion
-// question for the same toolchain: are *interruptions* handled
-// gracefully, or can a crash mid-operation leave an image that lies
-// about its own health? The Figure 1 resize bug is the motivating case:
-// run buggy, its completed resize is exactly such a lie.
+// CrashCk: deterministic crash-point enumeration across the fsim
+// toolchain. For every write a tool issues, the harness re-executes the
+// tool on a fresh image with a fault plan that freezes the device at
+// exactly that write (persisting a seeded torn prefix), then recovers —
+// remount (journal replay) plus fsck — and classifies what a user would
+// experience. The paper's §4.2 usage 2 asks whether misconfigurations
+// are handled gracefully; CrashCk asks the companion question for the
+// same toolchain: are *interruptions* handled gracefully, or can a crash
+// mid-operation leave an image that lies about its own health? The
+// Figure 1 resize bug is the motivating case: run buggy, its completed
+// resize is exactly such a lie.
+//
+// CrashCk is a preset over the campaign engine (tools/campaign.h): one
+// configuration per op (the campaign baseline, sparse_super2 for the
+// resize ops) and an exhaustive crash-at-every-write schedule family,
+// run through the campaign's op registry and cell runner.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -28,7 +34,20 @@ enum class CrashOutcome : std::uint8_t {
   DataLoss,          ///< metadata consistent but the canary file is gone
 };
 
+inline constexpr CrashOutcome kCrashOutcomes[] = {
+    CrashOutcome::Recovered, CrashOutcome::NeedsRepair, CrashOutcome::SilentCorruption,
+    CrashOutcome::DataLoss};
+
+/// Report spelling; the two dangerous classes shout.
 const char* crashOutcomeName(CrashOutcome outcome);
+
+/// Lowercase stable identifier ("silent-corruption") for corpus files,
+/// metric labels and histograms.
+const char* crashOutcomeKey(CrashOutcome outcome);
+
+/// "recovered=12 needs-repair=3 silent-corruption=0 data-loss=0", with
+/// each count taken from `count`.
+std::string outcomeHistogram(const std::function<int(CrashOutcome)>& count);
 
 /// A file planted before the operation under test; its survival
 /// distinguishes Recovered from DataLoss.
@@ -68,9 +87,9 @@ struct CrashCkOptions {
   std::vector<std::string> ops;
 };
 
-/// The operations the enumerator knows how to crash. "resize" runs with
-/// the sparse_super2 accounting fix; "resize-buggy" replays the shipped
-/// (Figure 1) behaviour.
+/// The operations the enumerator knows how to crash: the campaign's op
+/// registry. "resize" runs with the sparse_super2 accounting fix;
+/// "resize-buggy" replays the shipped (Figure 1) behaviour.
 std::vector<std::string> crashCkOpNames();
 
 /// Recovery oracle, exported so tests can classify hand-built images.

@@ -58,12 +58,14 @@ taint::AnalysisOptions taintOptionsFromRequest(const json::Object& request) {
 }
 
 /// Writes one line (with trailing '\n') fully; short writes retried.
+/// MSG_NOSIGNAL: a peer that hung up fails the send with EPIPE instead of
+/// killing the process with SIGPIPE.
 bool writeLine(int fd, const std::string& line) {
   std::string framed = line;
   framed.push_back('\n');
   std::size_t sent = 0;
   while (sent < framed.size()) {
-    const ssize_t n = ::write(fd, framed.data() + sent, framed.size() - sent);
+    const ssize_t n = ::send(fd, framed.data() + sent, framed.size() - sent, MSG_NOSIGNAL);
     if (n <= 0) return false;
     sent += static_cast<std::size_t>(n);
   }
@@ -140,6 +142,16 @@ void ServeDaemon::acceptLoop() {
 }
 
 void ServeDaemon::handleConnection(int fd) {
+  // An over-long line gets one error response, then the connection is
+  // dropped: the rest of the stream cannot be framed reliably.
+  const auto rejectOversize = [&] {
+    errors_.fetch_add(1, std::memory_order_relaxed);
+    json::Object response;
+    response["ok"] = false;
+    response["error"] =
+        "request line exceeds " + std::to_string(kMaxRequestLineBytes) + " bytes";
+    (void)writeLine(fd, json::writeCompact(json::Value(std::move(response))));
+  };
   std::string buffer;
   char chunk[4096];
   for (;;) {
@@ -149,6 +161,11 @@ void ServeDaemon::handleConnection(int fd) {
     std::size_t pos = 0;
     std::size_t nl = 0;
     while ((nl = buffer.find('\n', pos)) != std::string::npos) {
+      if (nl - pos > kMaxRequestLineBytes) {
+        rejectOversize();
+        ::close(fd);
+        return;
+      }
       const std::string line = buffer.substr(pos, nl - pos);
       pos = nl + 1;
       if (line.empty()) continue;
@@ -158,6 +175,10 @@ void ServeDaemon::handleConnection(int fd) {
       }
     }
     buffer.erase(0, pos);
+    if (buffer.size() > kMaxRequestLineBytes) {
+      rejectOversize();
+      break;
+    }
   }
   ::close(fd);
 }

@@ -16,7 +16,8 @@
 // renderer. Request types: ping, extract, depgraph, docck, blame,
 // stats, invalidate, shutdown (see docs/serve.md for the full schema).
 // Malformed requests produce {"ok":false,"error":...} without killing
-// the connection.
+// the connection. A request line longer than kMaxRequestLineBytes gets
+// that error response and then the connection is closed.
 //
 // Concurrency: every connection gets its own handler thread (the global
 // ThreadPool is NOT used for connections — parallelFor inside a request
@@ -39,6 +40,9 @@
 #include "support/result.h"
 
 namespace fsdep::tools {
+
+/// Longest request line (without its newline) the daemon accepts.
+inline constexpr std::size_t kMaxRequestLineBytes = 64 * 1024;
 
 struct ServeOptions {
   /// Unix socket path; the daemon unlinks a stale file on start and

@@ -5,10 +5,13 @@
 #include "tools/serve.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -29,6 +32,53 @@ std::string testSocketPath(const char* name) {
           ("fsdep-serve-test-" + std::string(name) + "-" + std::to_string(::getpid()) +
            ".sock"))
       .string();
+}
+
+/// A raw client socket with a receive timeout, so a daemon that never
+/// answers fails the test instead of hanging it. -1 on failure.
+int connectRaw(const std::string& socket_path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
+  const timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool sendAll(int fd, const std::string& bytes) {
+  std::size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    sent += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
+/// Everything the daemon sends until it closes the connection (or the
+/// receive timeout expires).
+std::string readToEof(int fd) {
+  std::string text;
+  char chunk[4096];
+  for (;;) {
+    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
+    if (n <= 0) break;
+    text.append(chunk, static_cast<std::size_t>(n));
+  }
+  return text;
+}
+
+bool pingAnswered(const std::string& socket_path) {
+  json::Object ping;
+  ping["type"] = "ping";
+  const Result<ServeResponse> pong = serveRequest(socket_path, ping);
+  return pong.ok() && pong.value().ok && pong.value().stdout_text == "pong";
 }
 
 json::Object parseResponse(const std::string& line) {
@@ -184,6 +234,49 @@ TEST(ServeSocket, RoundTripAndConcurrentClientsAndShutdown) {
 
   // Clients now get a transport error, not a hang.
   EXPECT_FALSE(serveRoundTrip(socket_path, R"({"type":"ping"})").ok());
+}
+
+TEST(ServeSocket, ClientThatHangsUpBeforeItsResponseDoesNotKillTheDaemon) {
+  const std::string socket_path = testSocketPath("hangup");
+  ServeDaemon daemon(ServeOptions{socket_path});
+  ASSERT_TRUE(daemon.start().ok());
+
+  // The response to this extract goes to a closed socket.
+  const int fd = connectRaw(socket_path);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(sendAll(fd, "{\"type\":\"extract\",\"scenario\":\"s1\"}\n"));
+  ::close(fd);
+
+  EXPECT_TRUE(pingAnswered(socket_path));
+  // stop() joins every connection thread, so the dropped client's
+  // response has been sent (and failed) by now.
+  daemon.stop();
+  EXPECT_EQ(daemon.requestsServed(), 2u);
+}
+
+TEST(ServeSocket, OversizeRequestLineIsRejectedAndOtherClientsAreServed) {
+  const std::string socket_path = testSocketPath("oversize");
+  ServeDaemon daemon(ServeOptions{socket_path});
+  ASSERT_TRUE(daemon.start().ok());
+
+  // Half a line stays buffered without blocking anyone else.
+  const int fd = connectRaw(socket_path);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(sendAll(fd, std::string(kMaxRequestLineBytes / 2, 'x')));
+  EXPECT_TRUE(pingAnswered(socket_path));
+
+  // Past the cap with still no newline: one error line, then EOF.
+  ASSERT_TRUE(sendAll(fd, std::string(kMaxRequestLineBytes / 2 + 1, 'x')));
+  const std::string reply = readToEof(fd);
+  ::close(fd);
+  ASSERT_FALSE(reply.empty()) << "no response before the receive timeout";
+  ASSERT_EQ(reply.back(), '\n');
+  const json::Object error = parseResponse(reply.substr(0, reply.size() - 1));
+  EXPECT_FALSE(error.find("ok")->asBool());
+  EXPECT_NE(error.find("error")->asString().find("exceeds"), std::string::npos);
+
+  EXPECT_TRUE(pingAnswered(socket_path));
+  daemon.stop();
 }
 
 }  // namespace

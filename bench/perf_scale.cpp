@@ -1,14 +1,15 @@
 // Kernel-scale benchmarks (google-benchmark): the SCC-summary
-// inter-procedural engine against the legacy whole-program re-analysis
-// fixpoint, on the seed corpus and on amplified corpora 10x and 100x
-// its size. BM_Table5IntraSeed is the reference point for the scale
-// guard in scripts/bench_compare.sh: inter-procedural analysis of the
-// 100x amplified corpus must stay within 10x of an intra Table 5 run
-// on the seed corpus (BENCH_scale.json).
+// inter-procedural engine and the intra-procedural sweep, on the seed
+// corpus and on amplified corpora 10x and 100x its size.
+// BM_Table5IntraSeed is the reference point for the scale guard in
+// scripts/bench_compare.sh: inter-procedural analysis of the 100x
+// amplified corpus must stay within 10x of an intra Table 5 run on the
+// seed corpus (BENCH_scale.json).
 //
 // Amplified iterations time analysis + extraction only: generation and
 // the parse-once ComponentCache fill happen in the warm-up, matching
 // how the pipeline amortizes frontend cost everywhere else.
+// BM_AmplifiedInterAnalyze narrows that to the taint fixpoint alone.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -31,21 +32,6 @@ taint::AnalysisOptions interSummary() {
   return topts;
 }
 
-taint::AnalysisOptions interLegacy() {
-  taint::AnalysisOptions topts = interSummary();
-  topts.summaries = false;
-  return topts;
-}
-
-// The AST-walk oracle (--legacy-walk): same passes, same results, but
-// every fixpoint visit re-interprets statement trees instead of running
-// the compiled Taint-IR. The Walk rows measure what the IR bought.
-taint::AnalysisOptions interSummaryWalk() {
-  taint::AnalysisOptions topts = interSummary();
-  topts.compile_ir = false;
-  return topts;
-}
-
 void runTable5Bench(benchmark::State& state, const taint::AnalysisOptions& topts) {
   const corpus::PipelineOptions pipeline{.jobs = 4, .use_cache = true};
   benchmark::DoNotOptimize(corpus::runTable5(topts, nullptr, pipeline));  // warm cache
@@ -61,16 +47,6 @@ void BM_Table5InterSummarySeed(benchmark::State& state) {
   runTable5Bench(state, interSummary());
 }
 BENCHMARK(BM_Table5InterSummarySeed)->Unit(benchmark::kMillisecond);
-
-void BM_Table5InterLegacySeed(benchmark::State& state) {
-  runTable5Bench(state, interLegacy());
-}
-BENCHMARK(BM_Table5InterLegacySeed)->Unit(benchmark::kMillisecond);
-
-void BM_Table5InterSummaryWalkSeed(benchmark::State& state) {
-  runTable5Bench(state, interSummaryWalk());
-}
-BENCHMARK(BM_Table5InterSummaryWalkSeed)->Unit(benchmark::kMillisecond);
 
 /// Analyzes every amplified component (all functions) on the pool and
 /// extracts dependencies over the whole synthetic ecosystem — the
@@ -108,18 +84,27 @@ void BM_AmplifiedInterSummary(benchmark::State& state) {
 }
 BENCHMARK(BM_AmplifiedInterSummary)->Arg(10)->Arg(100)->Unit(benchmark::kMillisecond);
 
-void BM_AmplifiedInterLegacy(benchmark::State& state) {
-  runAmplifiedBench(state, interLegacy());
-}
-BENCHMARK(BM_AmplifiedInterLegacy)->Arg(10)->Arg(100)->Unit(benchmark::kMillisecond);
-
 void BM_AmplifiedIntra(benchmark::State& state) { runAmplifiedBench(state, {}); }
 BENCHMARK(BM_AmplifiedIntra)->Arg(100)->Unit(benchmark::kMillisecond);
 
-void BM_AmplifiedInterSummaryWalk(benchmark::State& state) {
-  runAmplifiedBench(state, interSummaryWalk());
+// The taint fixpoint alone: every amplified component is set up once,
+// and each iteration re-runs analyze({}) on all of them (no parse, no
+// extraction). The ledger's fixpoint_ratio divides it by
+// BM_Table5IntraSeed.
+void BM_AmplifiedInterAnalyze(benchmark::State& state) {
+  const std::vector<std::string> names = corpus::amplifyCorpus(
+      {.factor = static_cast<std::size_t>(state.range(0)), .seed = 42});
+  std::vector<std::unique_ptr<corpus::AnalyzedComponent>> components(names.size());
+  ThreadPool::parallelFor(names.size(), 0, [&](std::size_t i) {
+    components[i] = std::make_unique<corpus::AnalyzedComponent>(names[i], interSummary());
+    components[i]->analyze({});  // warm the compiled-IR cache
+  });
+  for (auto _ : state) {
+    ThreadPool::parallelFor(names.size(), 0, [&](std::size_t i) { components[i]->analyze({}); });
+  }
+  state.counters["components"] = static_cast<double>(names.size());
 }
-BENCHMARK(BM_AmplifiedInterSummaryWalk)->Arg(100)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AmplifiedInterAnalyze)->Arg(100)->Unit(benchmark::kMillisecond);
 
 // Pure generation cost (registry rebuild included): the amplifier must
 // never dominate the pipeline it feeds.

@@ -91,18 +91,13 @@ int usage() {
       "                                   default: FSDEP_INTER env var, else intra)\n"
       "               --intra             force intra-procedural taint (opt-out\n"
       "                                   when FSDEP_INTER is set)\n"
-      "               --legacy-passes     inter via whole-program re-analysis\n"
-      "                                   instead of SCC summaries (oracle)\n"
-      "               --legacy-walk       interpret AST statements instead of\n"
-      "                                   compiled Taint-IR (oracle)\n"
       "               --no-bridging       disable metadata bridging (ablation)\n"
       "               --json              emit JSON instead of text\n"
       "  table2     test-suite configuration coverage (paper Table 2)\n"
       "  table3     bug-study distribution (paper Table 3)\n"
       "  table4     dependency taxonomy (paper Table 4)\n"
       "  table5     extraction evaluation (paper Table 5)\n"
-      "               --inter / --intra / --legacy-passes / --legacy-walk\n"
-      "                 as in extract\n"
+      "               --inter / --intra   as in extract\n"
       "  amplify    generate a synthetic amplified corpus (deterministic,\n"
       "             config-flow shaped) and analyze it end to end\n"
       "               --factor N      synthetic components per real Ext4\n"
@@ -110,8 +105,6 @@ int usage() {
       "               --seed S        generator seed (default 42)\n"
       "               --intra         intra-procedural taint (default: inter\n"
       "                               with SCC summaries)\n"
-      "               --legacy-passes inter via whole-program re-analysis\n"
-      "               --legacy-walk   AST-walk oracle (default: Taint-IR)\n"
       "               --budget-ms M   exit 3 when the end-to-end run exceeds\n"
       "                               M milliseconds (CI wall-clock guard)\n"
       "               --json          emit JSON instead of text\n"
@@ -199,18 +192,14 @@ bool envInterDefault() {
   return !(value.empty() || value == "0" || value == "false" || value == "off");
 }
 
-/// Taint-engine selection shared by extract, table5 and check:
+/// Taint-mode selection shared by extract, table5 and check:
 /// FSDEP_INTER sets the default, --inter forces inter-procedural,
-/// --intra forces intra-procedural, and --legacy-passes swaps the
-/// SCC-summary engine for the whole-program re-analysis fixpoint (the
-/// equivalence oracle).
+/// and --intra forces intra-procedural.
 taint::AnalysisOptions taintOptionsFromFlags(const std::vector<std::string>& args) {
   taint::AnalysisOptions topts;
   topts.inter_procedural = envInterDefault();
   if (hasFlag(args, "--inter")) topts.inter_procedural = true;
   if (hasFlag(args, "--intra")) topts.inter_procedural = false;
-  if (hasFlag(args, "--legacy-passes")) topts.summaries = false;
-  if (hasFlag(args, "--legacy-walk")) topts.compile_ir = false;
   return topts;
 }
 
@@ -685,8 +674,6 @@ int cmdAmplify(const std::vector<std::string>& args) {
 
   taint::AnalysisOptions topts;
   topts.inter_procedural = !hasFlag(args, "--intra");
-  if (hasFlag(args, "--legacy-passes")) topts.summaries = false;
-  if (hasFlag(args, "--legacy-walk")) topts.compile_ir = false;
 
   using Clock = std::chrono::steady_clock;
   const auto millisSince = [](Clock::time_point from, Clock::time_point to) {
@@ -787,9 +774,7 @@ int cmdAmplify(const std::vector<std::string>& args) {
   const double extract_ms = millisSince(t2, t3);
   const double total_ms = millisSince(t0, t3);
   const bool over_budget = budget_ms > 0 && total_ms > static_cast<double>(budget_ms);
-  const char* engine = !topts.inter_procedural ? "intra"
-                       : topts.summaries       ? "summary"
-                                               : "legacy-passes";
+  const char* engine = topts.inter_procedural ? "summary" : "intra";
 
   {
     obs::RunReport& report = obs::RunReport::global();
@@ -878,8 +863,6 @@ int cmdQuery(const std::vector<std::string>& args) {
   if (!param.empty()) request["param"] = param;
   if (hasFlag(args, "--inter")) request["inter"] = true;
   if (hasFlag(args, "--intra")) request["intra"] = true;
-  if (hasFlag(args, "--legacy-passes")) request["legacy_passes"] = true;
-  if (hasFlag(args, "--legacy-walk")) request["legacy_walk"] = true;
   if (hasFlag(args, "--no-bridging")) request["no_bridging"] = true;
   if (hasFlag(args, "--json")) request["json"] = true;
   if (hasFlag(args, "--self-deps")) request["self_deps"] = true;

@@ -168,41 +168,34 @@ void Analyzer::run(const std::vector<const FunctionDecl*>& functions) {
     if (fn == nullptr || !fn->isDefinition()) continue;
     ArenaPtr<FunctionTaint> result(arena_.make<FunctionTaint>());
     result->fn = fn;
-    if (options_.compile_ir) {
-      // Compiled once per function and memoized (shared across warm runs
-      // via the component cache): CFG, RPO, and the flat instruction
-      // stream all come from the cache entry.
-      result->code = irCache().getOrCompile(*fn);
-      result->cfg = result->code->cfg;
-      result->rpo = result->code->rpo;
-      if (result->code->program.num_temps > ir_temps_.size()) {
-        ir_temps_.resize(result->code->program.num_temps);
-      }
-    } else {
-      result->cfg = cfg::Cfg::build(*fn);
-      result->rpo = result->cfg->reversePostOrder();
+    // Compiled once per function and memoized (shared across warm runs
+    // via the component cache): CFG, RPO, and the flat instruction
+    // stream all come from the cache entry.
+    result->code = irCache().getOrCompile(*fn);
+    result->cfg = result->code->cfg;
+    result->rpo = result->code->rpo;
+    if (result->code->program.num_temps > ir_temps_.size()) {
+      ir_temps_.resize(result->code->program.num_temps);
     }
     by_fn_[fn] = result.get();
     results_.push_back(std::move(result));
   }
 
-  if (options_.inter_procedural && options_.summaries) {
+  if (options_.inter_procedural) {
     runSummarized();
-    return;
+  } else {
+    concreteSweep();
   }
+}
 
-  const int passes = options_.inter_procedural ? options_.max_global_passes : 1;
-  for (int pass = 0; pass < passes; ++pass) {
-    bindings_changed_ = false;
-    for (const auto& result : results_) {
-      current_fn_ = result->fn;
-      current_result_ = result.get();
-      analyzeFunction(*result);
-    }
-    current_fn_ = nullptr;
-    current_result_ = nullptr;
-    if (!bindings_changed_) break;
+void Analyzer::concreteSweep() {
+  for (const auto& result : results_) {
+    current_fn_ = result->fn;
+    current_result_ = result.get();
+    analyzeFunction(*result);
   }
+  current_fn_ = nullptr;
+  current_result_ = nullptr;
 }
 
 void Analyzer::analyzeFunction(FunctionTaint& result) {
@@ -233,16 +226,7 @@ void Analyzer::analyzeFunction(FunctionTaint& result) {
       dirty[id] = 0;
       const cfg::BasicBlock& block = cfg.block(id);
       TaintState state = result.block_entry[id];
-      if (result.code != nullptr) {
-        execBlock(result.code->program, id, state, &result.at_condition);
-      } else {
-        for (const Stmt* s : block.stmts) transferStmt(*s, state);
-        if (block.inc_expr != nullptr) evalExpr(*block.inc_expr, state, /*effects=*/true);
-        if (block.condition != nullptr) {
-          result.at_condition[id] = state;
-          evalExpr(*block.condition, state, /*effects=*/true);
-        }
-      }
+      execBlock(result.code->program, id, state, &result.at_condition);
       for (const cfg::Edge& e : block.successors) {
         const bool grew = result.block_entry[e.target].mergeFrom(state);
         ++merge_calls_;
@@ -269,35 +253,25 @@ void Analyzer::analyzeFunction(FunctionTaint& result) {
     const cfg::BasicBlock& block = cfg.block(id);
     if (!block.is_exit) continue;
     TaintState state = result.block_entry[id];
-    if (result.code != nullptr) {
-      const ir::BlockRange& range = result.code->program.blocks[id];
-      ++ir_visits_;
-      stmt_visits_ += range.stmt_count;
-      execRange(result.code->program, range.stmts_begin, range.stmts_end, state);
-    } else {
-      for (const Stmt* s : block.stmts) transferStmt(*s, state);
-    }
+    const ir::BlockRange& range = result.code->program.blocks[id];
+    ++ir_visits_;
+    stmt_visits_ += range.stmt_count;
+    execRange(result.code->program, range.stmts_begin, range.stmts_end, state);
     result.exit_state.mergeFrom(state);
   }
   span.arg("stmts", stmt_visits_ - stmts_before);
 }
 
 void Analyzer::runSummarized() {
-  // Pass 1: concrete, byte-for-byte the legacy engine's first pass. This
-  // freezes the label space — every seed and bridge label is interned in
-  // first-discovery order, which is semantically visible (rendered label
-  // sets ascend by id, and extraction anchors on the smallest id) — and
-  // records the first-discovery traces and write events.
+  // Pass 1: the concrete sweep, which also records call bindings and
+  // return summaries. This freezes the label space — every seed and
+  // bridge label is interned in first-discovery order, which is
+  // semantically visible (rendered label sets ascend by id, and
+  // extraction anchors on the smallest id) — and records the
+  // first-discovery traces and write events.
   bindings_changed_ = false;
-  for (const auto& result : results_) {
-    current_fn_ = result->fn;
-    current_result_ = result.get();
-    analyzeFunction(*result);
-  }
-  current_fn_ = nullptr;
-  current_result_ = nullptr;
-  // Nothing crossed a function boundary: pass 1 is already the fixpoint
-  // (the legacy engine would stop here too).
+  concreteSweep();
+  // Nothing crossed a function boundary: pass 1 is already the fixpoint.
   if (!bindings_changed_) return;
 
   // Bottom-up: one symbolic CFG fixpoint per function, ordered by the
@@ -320,12 +294,8 @@ void Analyzer::runSummarized() {
     buildCallGraph();
     sccs = condenseSccs();
     summary_mode_ = true;
-    // The span name distinguishes the engines in profile attribution:
-    // scc_ir when sweeps execute compiled Taint-IR, scc_symbolic for the
-    // legacy AST walk.
-    const char* scc_span_name = options_.compile_ir ? "scc_ir" : "scc_symbolic";
     for (const auto& scc : sccs) {
-      obs::Span scc_span("taint", scc_span_name);
+      obs::Span scc_span("taint", "scc_ir");
       scc_span.arg("function", scc.front()->name);
       const bool cyclic = isCyclic(scc);
       int guard = 0;
@@ -410,16 +380,14 @@ void Analyzer::runSummarized() {
   }
 
   // One final concrete pass with the fixpoint bindings and summaries in
-  // place — the legacy engine's passes 2..N collapsed into one. At the
-  // fixpoint nothing can grow; the residual counter flags a violation of
-  // that invariant (it should stay 0).
+  // place. At the fixpoint nothing can grow; the residual counter flags
+  // a violation of that invariant (it should stay 0).
   obs::Span apply_span("taint", "summary_apply");
   bindings_changed_ = false;
   for (const auto& result : results_) {
     // Functions whose entry bindings resolved empty and whose callees
     // summarize to nothing would replay pass 1 verbatim — their pass-1
-    // states, traces, and events already stand (ROADMAP item 4's second
-    // path; equivalence is test-enforced against the no-skip oracle).
+    // states, traces, and events already stand.
     if (canSkipFinalPass(result->fn)) {
       ++concrete_skips_;
       continue;
@@ -468,14 +436,8 @@ void Analyzer::analyzeFunctionSymbolic(FunctionTaint& result) {
       dirty[id] = 0;
       const cfg::BasicBlock& block = cfg.block(id);
       TaintState state = block_entry[id];
-      if (result.code != nullptr) {
-        // No at_condition snapshot in symbolic sweeps.
-        execBlock(result.code->program, id, state, nullptr);
-      } else {
-        for (const Stmt* s : block.stmts) transferStmt(*s, state);
-        if (block.inc_expr != nullptr) evalExpr(*block.inc_expr, state, /*effects=*/true);
-        if (block.condition != nullptr) evalExpr(*block.condition, state, /*effects=*/true);
-      }
+      // No at_condition snapshot in symbolic sweeps.
+      execBlock(result.code->program, id, state, nullptr);
       for (const cfg::Edge& e : block.successors) {
         const bool grew = block_entry[e.target].mergeFrom(state);
         ++merge_calls_;
@@ -541,7 +503,7 @@ void Analyzer::execRange(const ir::Program& prog, std::uint32_t begin, std::uint
       case ir::Op::LoadField: {
         // Interning runs even for a discarded read (dst == kNoTemp):
         // field-key and bridge-label id assignment is first-use ordered
-        // and semantically visible, exactly as in the AST walk.
+        // and semantically visible.
         const MemberExpr& m = *in.member;
         const FieldKeyId key = fieldIdFor(m);
         if (options_.field_bridging) {
@@ -568,7 +530,7 @@ void Analyzer::execRange(const ir::Program& prog, std::uint32_t begin, std::uint
       case ir::Op::AssignVar: {
         const LabelSet* src = in.a == ir::kNoTemp ? nullptr : &temps[in.a];
         // Out-param stores only happen when the merged other-arg labels
-        // are non-empty (the AST walk never calls assignTo then).
+        // are non-empty.
         if (in.skip_if_empty && (src == nullptr || src->empty())) break;
         LabelSet merged = src != nullptr ? *src : LabelSet{};
         if (const auto sticky = sticky_.find(in.var); sticky != sticky_.end()) {
@@ -593,7 +555,7 @@ void Analyzer::execRange(const ir::Program& prog, std::uint32_t begin, std::uint
       case ir::Op::AssignField: {
         const LabelSet* src = in.a == ir::kNoTemp ? nullptr : &temps[in.a];
         // Checked before interning: a skipped out-param store interns
-        // nothing in the AST walk either.
+        // nothing.
         if (in.skip_if_empty && (src == nullptr || src->empty())) break;
         const LabelSet& labels = src != nullptr ? *src : no_labels;
         const MemberExpr& m = *in.member;
@@ -835,77 +797,11 @@ std::vector<std::vector<const FunctionDecl*>> Analyzer::condenseSccs() const {
   return sccs;
 }
 
-LabelSet Analyzer::instantiateSummary(const LabelSet& summary,
-                                      const std::vector<LabelSet>& subst) const {
-  LabelSet out;
-  for (const LabelId id : summary) {
-    if (id < placeholder_base_) {
-      out.insert(id);
-    } else {
-      const std::size_t idx = id - placeholder_base_;
-      if (idx < subst.size()) unionInto(out, subst[idx]);
-    }
-  }
-  return out;
-}
-
-void Analyzer::transferStmt(const Stmt& stmt, TaintState& state) {
-  ++stmt_visits_;
-  switch (stmt.kind()) {
-    case StmtKind::Decl: {
-      for (const auto& var : static_cast<const DeclStmt&>(stmt).vars) {
-        if (var->init == nullptr) continue;
-        LabelSet labels = evalExpr(*var->init, state, /*effects=*/true);
-        if (const auto sticky = sticky_.find(var.get()); sticky != sticky_.end()) {
-          unionInto(labels, sticky->second);
-        }
-        if (!labels.empty()) {
-          state.vars[var.get()] = labels;
-          const std::string& object = varNameFor(*var);
-          if (!summary_mode_ && trace_done_.insert(var.get()).second) {
-            recordTrace(object, var->loc, traceTextFor(var.get(), object, var->init.get(), ""));
-          }
-          recordWrite(*var->init, object, /*is_field=*/false, "", labels, var->init.get(),
-                      var->loc, BinaryOp::Assign);
-        } else {
-          state.vars[var.get()].clear();
-        }
-      }
-      break;
-    }
-    case StmtKind::Expr:
-      evalExpr(*static_cast<const ExprStmt&>(stmt).expr, state, /*effects=*/true);
-      break;
-    case StmtKind::Return: {
-      const auto& ret = static_cast<const ReturnStmt&>(stmt);
-      if (ret.value != nullptr && current_result_ != nullptr) {
-        LabelSet labels = evalExpr(*ret.value, state, /*effects=*/true);
-        if (summary_mode_) {
-          if (summary_return_sink_ != nullptr && unionInto(*summary_return_sink_, labels)) {
-            summary_changed_ = true;
-          }
-        } else {
-          unionInto(current_result_->return_labels, labels);
-          if (options_.inter_procedural) {
-            LabelSet& summary = return_summaries_[current_fn_];
-            if (unionInto(summary, labels)) bindings_changed_ = true;
-          }
-        }
-      }
-      break;
-    }
-    default:
-      break;
-  }
-}
-
 LabelSet Analyzer::labelsOf(const Expr& expr, const TaintState& state) const {
-  // evalExpr with effects=false never mutates the state.
-  auto* self = const_cast<Analyzer*>(this);
-  return self->evalExpr(expr, const_cast<TaintState&>(state), /*effects=*/false);
-}
-
-LabelSet Analyzer::evalExpr(const Expr& expr, TaintState& state, bool effects) {
+  // Visits subexpressions in the order the compiled transfer evaluates
+  // them (Member bases and Index indices included, though their labels
+  // are dropped): field-key and bridge-label ids are interned in
+  // first-use order, and that order shows in the output.
   switch (expr.kind()) {
     case ExprKind::IntLiteral:
     case ExprKind::StringLiteral:
@@ -914,207 +810,75 @@ LabelSet Analyzer::evalExpr(const Expr& expr, TaintState& state, bool effects) {
 
     case ExprKind::DeclRef: {
       const auto& ref = static_cast<const DeclRefExpr&>(expr);
-      if (ref.decl == nullptr) return {};
-      return state.varLabels(ref.decl);
+      return ref.decl != nullptr ? state.varLabels(ref.decl) : LabelSet{};
     }
 
-    case ExprKind::Unary: {
-      const auto& u = static_cast<const UnaryExpr&>(expr);
-      return evalExpr(*u.operand, state, effects);
-    }
+    case ExprKind::Unary:
+      return labelsOf(*static_cast<const UnaryExpr&>(expr).operand, state);
 
     case ExprKind::Binary: {
       const auto& b = static_cast<const BinaryExpr&>(expr);
       if (isAssignment(b.op)) {
-        // Only the RHS labels are the *new* contribution of this write;
-        // a compound assignment's old-value labels are already in the
-        // state (weak update) and must not be attributed to this write
-        // event, or every `features |= (flag ? MASK : 0)` would smear the
-        // earlier flags onto later masks.
-        LabelSet labels = evalExpr(*b.rhs, state, effects);
-        if (effects) {
-          assignTo(*b.lhs, b.rhs.get(), labels, b.op == BinaryOp::Assign, state, expr.loc, b.op);
-        }
-        if (b.op != BinaryOp::Assign) {
-          // The expression's VALUE still depends on the old contents.
-          unionInto(labels, evalExpr(*b.lhs, state, /*effects=*/false));
-        }
+        // The value is the RHS, plus the old contents when compound.
+        LabelSet labels = labelsOf(*b.rhs, state);
+        if (b.op != BinaryOp::Assign) unionInto(labels, labelsOf(*b.lhs, state));
         return labels;
       }
-      LabelSet labels = evalExpr(*b.lhs, state, effects);
-      unionInto(labels, evalExpr(*b.rhs, state, effects));
+      LabelSet labels = labelsOf(*b.lhs, state);
+      unionInto(labels, labelsOf(*b.rhs, state));
       return labels;
     }
 
     case ExprKind::Conditional: {
-      // The value of `cond ? a : b` is strictly determined by the
-      // condition, so the condition's labels flow to the result. This is
-      // the one controlled implicit flow the analysis tracks; it is what
-      // lets feature-flag parameters reach the feature bitmap through the
-      // idiomatic `sb->s_feature_x |= (flag ? MASK : 0)`.
+      // The condition's labels flow to the result (the one controlled
+      // implicit flow the analysis tracks).
       const auto& c = static_cast<const ConditionalExpr&>(expr);
-      LabelSet labels = evalExpr(*c.cond, state, effects);
-      unionInto(labels, evalExpr(*c.then_expr, state, effects));
-      unionInto(labels, evalExpr(*c.else_expr, state, effects));
+      LabelSet labels = labelsOf(*c.cond, state);
+      unionInto(labels, labelsOf(*c.then_expr, state));
+      unionInto(labels, labelsOf(*c.else_expr, state));
       return labels;
     }
 
     case ExprKind::Call: {
       const auto& call = static_cast<const CallExpr&>(expr);
-      LabelSet arg_labels;
-      std::vector<LabelSet> per_arg;
-      per_arg.reserve(call.args.size());
-      for (const ExprPtr& a : call.args) {
-        per_arg.push_back(evalExpr(*a, state, effects));
-        unionInto(arg_labels, per_arg.back());
-      }
-
-      // Out-parameters: foo(&x, src) may write src's labels into x.
-      if (effects) {
-        for (std::size_t i = 0; i < call.args.size(); ++i) {
-          const Expr* a = call.args[i].get();
-          if (a->kind() != ExprKind::Unary) continue;
-          const auto& u = static_cast<const UnaryExpr&>(*a);
-          if (u.op != UnaryOp::AddrOf) continue;
-          LabelSet others;
-          for (std::size_t j = 0; j < per_arg.size(); ++j) {
-            if (j != i) unionInto(others, per_arg[j]);
-          }
-          if (!others.empty()) {
-            assignTo(*u.operand, nullptr, others, /*strong=*/false, state, expr.loc);
-          }
-        }
-      }
-
-      if (options_.inter_procedural && call.callee_decl != nullptr &&
-          call.callee_decl->isDefinition()) {
-        const FunctionDecl* callee = call.callee_decl;
-        if (summary_mode_) {
-          // Symbolic phase: record the argument label sets flowing into
-          // the callee's parameters (resolved to concrete entry bindings
-          // later) and apply the callee's symbolic return summary with
-          // its placeholders substituted by this call's arguments.
-          if (by_fn_.find(callee) == by_fn_.end()) return arg_labels;
-          if (effects) {
-            auto& binds = sym_bind_[current_fn_];
-            for (std::size_t i = 0; i < call.args.size() && i < callee->params.size(); ++i) {
-              if (!per_arg[i].empty()) unionInto(binds[callee->params[i].get()], per_arg[i]);
-            }
-          }
-          LabelSet labels = std::move(arg_labels);
-          if (const auto it = sym_ret_.find(callee); it != sym_ret_.end()) {
-            unionInto(labels, instantiateSummary(it->second, per_arg));
-          }
-          return labels;
-        }
-        if (effects) {
-          TaintState& binding = entry_bindings_[callee];
-          for (std::size_t i = 0; i < call.args.size() && i < callee->params.size(); ++i) {
-            if (!per_arg[i].empty()) {
-              if (unionInto(binding.vars[callee->params[i].get()], per_arg[i])) {
-                bindings_changed_ = true;
-              }
-            }
-          }
-        }
-        LabelSet labels = arg_labels;
+      LabelSet labels;
+      for (const ExprPtr& a : call.args) unionInto(labels, labelsOf(*a, state));
+      const FunctionDecl* callee = call.callee_decl;
+      if (options_.inter_procedural && callee != nullptr && callee->isDefinition()) {
         const auto summary = return_summaries_.find(callee);
         if (summary != return_summaries_.end()) unionInto(labels, summary->second);
-        return labels;
       }
-      return arg_labels;
+      return labels;
     }
 
     case ExprKind::Member: {
       const auto& m = static_cast<const MemberExpr&>(expr);
-      evalExpr(*m.base, state, effects);
+      (void)labelsOf(*m.base, state);
       if (m.record == nullptr || m.field == nullptr) return {};
       const FieldKeyId key = fieldIdFor(m);
       LabelSet labels = state.fieldLabels(key);
-      if (options_.field_bridging) {
-        labels.insert(bridgeLabelFor(m, key));
-      }
+      if (options_.field_bridging) labels.insert(bridgeLabelFor(m, key));
       return labels;
     }
 
     case ExprKind::Index: {
       const auto& i = static_cast<const IndexExpr&>(expr);
-      evalExpr(*i.index, state, effects);
-      return evalExpr(*i.base, state, effects);
+      (void)labelsOf(*i.index, state);
+      return labelsOf(*i.base, state);
     }
 
     case ExprKind::Cast:
-      return evalExpr(*static_cast<const CastExpr&>(expr).operand, state, effects);
+      return labelsOf(*static_cast<const CastExpr&>(expr).operand, state);
 
     case ExprKind::InitList: {
       LabelSet labels;
       for (const ExprPtr& e : static_cast<const InitListExpr&>(expr).elements) {
-        unionInto(labels, evalExpr(*e, state, effects));
+        unionInto(labels, labelsOf(*e, state));
       }
       return labels;
     }
   }
   return {};
-}
-
-void Analyzer::assignTo(const Expr& lhs, const Expr* rhs, const LabelSet& labels, bool strong,
-                        TaintState& state, SourceLoc loc, BinaryOp op) {
-  switch (lhs.kind()) {
-    case ExprKind::DeclRef: {
-      const auto& ref = static_cast<const DeclRefExpr&>(lhs);
-      if (ref.decl == nullptr) return;
-      LabelSet merged = labels;
-      if (const auto sticky = sticky_.find(ref.decl); sticky != sticky_.end()) {
-        unionInto(merged, sticky->second);
-      }
-      if (strong) {
-        state.vars[ref.decl] = merged;
-      } else {
-        unionInto(state.vars[ref.decl], merged);
-      }
-      if (!merged.empty()) {
-        const std::string& object = varNameFor(*ref.decl);
-        if (!summary_mode_ && trace_done_.insert(&lhs).second) {
-          recordTrace(object, loc, traceTextFor(&lhs, object, rhs, "<call out-param>"));
-        }
-        recordWrite(lhs, object, /*is_field=*/false, "", merged, rhs, loc, op);
-      }
-      break;
-    }
-    case ExprKind::Member: {
-      const auto& m = static_cast<const MemberExpr&>(lhs);
-      if (m.record == nullptr || m.field == nullptr) return;
-      const FieldKeyId id = fieldIdFor(m);
-      // Fields are object-insensitive: always a weak update.
-      unionInto(state.fields[id], labels);
-      if (!summary_mode_) unionInto(field_writes_[id], labels);
-      if (!labels.empty()) {
-        const std::string& key = field_keys_.key(id);
-        if (!summary_mode_ && trace_done_.insert(&lhs).second) {
-          recordTrace(key, loc, traceTextFor(&lhs, key, rhs, "<expr>"));
-        }
-        recordWrite(lhs, key, /*is_field=*/true, key, labels, rhs, loc, op);
-      }
-      break;
-    }
-    case ExprKind::Index: {
-      const auto& i = static_cast<const IndexExpr&>(lhs);
-      assignTo(*i.base, rhs, labels, /*strong=*/false, state, loc, op);
-      break;
-    }
-    case ExprKind::Unary: {
-      const auto& u = static_cast<const UnaryExpr&>(lhs);
-      if (u.op == UnaryOp::Deref || u.op == UnaryOp::AddrOf) {
-        assignTo(*u.operand, rhs, labels, /*strong=*/false, state, loc, op);
-      }
-      break;
-    }
-    case ExprKind::Cast:
-      assignTo(*static_cast<const CastExpr&>(lhs).operand, rhs, labels, strong, state, loc, op);
-      break;
-    default:
-      break;
-  }
 }
 
 void Analyzer::recordTrace(const std::string& object, SourceLoc loc, const std::string& text) {

@@ -26,12 +26,13 @@ using ast::StmtKind;
 using ast::UnaryExpr;
 using ast::UnaryOp;
 
-// Mirrors Analyzer::evalExpr / assignTo / transferStmt structurally: the
-// same recursion, with values that are statically empty folded away and
-// assignment targets pre-resolved. `want` tracks whether the produced
-// value is consumed; pure loads for discarded values are elided, but
-// anything that interns at runtime (field reads) is emitted regardless
-// so interning order matches the AST walk exactly.
+// Lowers statements and expressions in source evaluation order, with
+// values that are statically empty folded away and assignment targets
+// pre-resolved. `want` tracks whether the produced value is consumed;
+// pure loads for discarded values are elided, but anything that interns
+// at runtime (field reads) is emitted regardless so interning order
+// follows evaluation order (Analyzer::labelsOf visits in the same
+// order).
 class Lowerer {
  public:
   explicit Lowerer(Program& prog) : prog_(prog) {}
@@ -182,6 +183,11 @@ class Lowerer {
       case ExprKind::Binary: {
         const auto& bin = static_cast<const BinaryExpr&>(expr);
         if (ast::isAssignment(bin.op)) {
+          // Only the RHS labels are the *new* contribution of this write;
+          // a compound assignment's old-value labels are already in the
+          // state (weak update) and must not be attributed to this write
+          // event, or every `features |= (flag ? MASK : 0)` would smear
+          // the earlier flags onto later masks.
           TempId rhs = lowerExpr(*bin.rhs, effects, effects || want);
           if (effects) {
             lowerAssign(*bin.lhs, bin.rhs.get(), rhs, bin.op == BinaryOp::Assign,
@@ -201,6 +207,11 @@ class Lowerer {
         return want ? emitUnion(lhs, rhs) : kNoTemp;
       }
       case ExprKind::Conditional: {
+        // The value of `cond ? a : b` is strictly determined by the
+        // condition, so the condition's labels flow to the result: the
+        // one controlled implicit flow the analysis tracks, which lets
+        // feature-flag parameters reach the feature bitmap through
+        // `sb->s_feature_x |= (flag ? MASK : 0)`.
         const auto& cond = static_cast<const ConditionalExpr&>(expr);
         const TempId c = lowerExpr(*cond.cond, effects, want);
         const TempId t = lowerExpr(*cond.then_expr, effects, want);

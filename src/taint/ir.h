@@ -5,7 +5,7 @@
 // analyzer instances (and across warm pipeline runs via the component
 // cache); label and field-key interning stays a runtime effect of
 // executing the instructions, which keeps id assignment in first-use
-// order, byte-identical to the AST walk.
+// order (source evaluation order of the lowered expressions).
 //
 // Statically-empty values (literals, sizeof, unresolved decl refs) lower
 // to the kNoTemp sentinel and their unions are elided at compile time;
@@ -57,9 +57,9 @@ struct Instr {
   Op op = Op::Copy;
   /// AssignVar: strong (killing) update vs weak union.
   bool strong = false;
-  /// Out-param stores: the AST walk only calls assignTo when the merged
+  /// Out-param stores: `foo(&x, src)` writes into x only when the merged
   /// other-arg labels are non-empty, so the store (including its field
-  /// interning) must be skipped on an empty source.
+  /// interning) is skipped on an empty source.
   bool skip_if_empty = false;
   /// Assign ops: the operator recorded on the write event.
   ast::BinaryOp aop = ast::BinaryOp::Assign;

@@ -52,8 +52,6 @@ taint::AnalysisOptions taintOptionsFromRequest(const json::Object& request) {
   topts.inter_procedural = envInterDefault();
   if (boolField(request, "inter", false)) topts.inter_procedural = true;
   if (boolField(request, "intra", false)) topts.inter_procedural = false;
-  if (boolField(request, "legacy_passes", false)) topts.summaries = false;
-  if (boolField(request, "legacy_walk", false)) topts.compile_ir = false;
   return topts;
 }
 
@@ -286,16 +284,16 @@ void ServeDaemon::dispatch(const std::string& type, const json::Value& request_v
     return;
   }
 
-  // Analysis requests are memoized on their canonical option string:
+  // Analysis requests are memoized on the compact JSON of the fields
+  // that select an answer (JSON quoting keeps any two requests apart):
   // the warm path is one map lookup — no parse, no pipeline, no disk.
-  std::string memo_key = type;
-  for (const char* key : {"scenario", "param", "inter", "intra", "legacy_passes",
-                          "legacy_walk", "no_bridging", "json", "self_deps"}) {
-    const json::Value* value = request.find(key);
-    memo_key.push_back('\x1f');
-    if (value == nullptr) continue;
-    memo_key += value->isString() ? value->asString() : json::writeCompact(*value);
+  json::Object key_fields;
+  key_fields["type"] = type;
+  for (const char* key : {"scenario", "param", "inter", "intra", "no_bridging", "json",
+                          "self_deps"}) {
+    if (const json::Value* value = request.find(key)) key_fields[key] = *value;
   }
+  const std::string memo_key = json::writeCompact(json::Value(std::move(key_fields)));
   {
     const std::lock_guard<std::mutex> lock(memo_mu_);
     const auto it = memo_.find(memo_key);

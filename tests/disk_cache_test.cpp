@@ -9,7 +9,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "corpus/pipeline.h"
 #include "extract/extractor.h"
@@ -149,39 +151,42 @@ TEST_F(DiskCacheTest, SchemaVersionBumpInvalidatesCleanly) {
   EXPECT_EQ(*old_cache.load(key), "written by the old schema");
 }
 
-// The v1 → v2 bump (AnalysisOptions::compile_ir joined the key
-// fingerprint) must leave pre-existing v1 trees on disk exactly as the
-// old binary wrote them: a v2 cache over the same directory reads them
-// as misses — never errors — and populates its own v2 tree alongside.
+// Each schema bump (v1 → v2: the Taint-IR engine selection joined the
+// key fingerprint; v2 → v3: the engine-selection fields left it) must
+// leave the older trees on disk exactly as the old binaries wrote them:
+// the current cache over the same directory reads them as misses —
+// never errors — and populates its own tree alongside.
 TEST_F(DiskCacheTest, OldSchemaTreesCoexistAndReadAsMisses) {
-  static_assert(kDiskCacheSchemaVersion >= 2,
-                "the IR-bearing entries bumped the schema to at least v2");
-  DiskCache v1(DiskCacheConfig{dir_, 512, kDiskCacheSchemaVersion - 1});
-  const CacheKey key = keyOf("ir-schema-bump");
-  v1.store(key, "pre-IR entry");
-  ASSERT_TRUE(v1.load(key).has_value());
+  static_assert(kDiskCacheSchemaVersion >= 3,
+                "the single-engine options fingerprint bumped the schema to at least v3");
+  const CacheKey key = keyOf("engine-schema-bump");
+  std::vector<std::unique_ptr<DiskCache>> old_caches;
+  for (int version = 1; version < kDiskCacheSchemaVersion; ++version) {
+    old_caches.push_back(std::make_unique<DiskCache>(DiskCacheConfig{dir_, 512, version}));
+    old_caches.back()->store(key, "v" + std::to_string(version) + " entry");
+    ASSERT_TRUE(old_caches.back()->load(key).has_value());
+  }
 
   DiskCache current(DiskCacheConfig{dir_});  // defaults to kDiskCacheSchemaVersion
   EXPECT_EQ(current.load(key), std::nullopt)
-      << "a v" << kDiskCacheSchemaVersion - 1 << " entry must read as a v"
-      << kDiskCacheSchemaVersion << " miss";
+      << "no older tree may serve a v" << kDiskCacheSchemaVersion << " key";
   EXPECT_EQ(current.misses(), 1u);
-  EXPECT_EQ(current.entryCount(), 0u) << "the old tree must not count as current entries";
+  EXPECT_EQ(current.entryCount(), 0u) << "old trees must not count as current entries";
 
-  current.store(key, "IR-bearing entry");
-  EXPECT_EQ(*current.load(key), "IR-bearing entry");
+  current.store(key, "current entry");
+  EXPECT_EQ(*current.load(key), "current entry");
 
-  // Both version trees exist side by side, each still serving its own
-  // binary; invalidating the current schema leaves the old tree alone.
-  const std::string old_tree = dir_ + "/v" + std::to_string(kDiskCacheSchemaVersion - 1);
+  // Every version tree exists side by side, each still serving its own
+  // binary; invalidating the current schema leaves the old trees alone.
   const std::string new_tree = dir_ + "/v" + std::to_string(kDiskCacheSchemaVersion);
-  EXPECT_TRUE(fs::is_directory(old_tree));
   EXPECT_TRUE(fs::is_directory(new_tree));
-  EXPECT_EQ(*v1.load(key), "pre-IR entry");
-
   current.invalidateAll();
   EXPECT_FALSE(fs::exists(new_tree));
-  EXPECT_EQ(*v1.load(key), "pre-IR entry") << "invalidateAll must be schema-scoped";
+  for (int version = 1; version < kDiskCacheSchemaVersion; ++version) {
+    EXPECT_TRUE(fs::is_directory(dir_ + "/v" + std::to_string(version)));
+    EXPECT_EQ(*old_caches[version - 1]->load(key), "v" + std::to_string(version) + " entry")
+        << "invalidateAll must be schema-scoped";
+  }
 }
 
 TEST_F(DiskCacheTest, AnalysisOptionsChangeProducesDifferentKeys) {

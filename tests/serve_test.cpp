@@ -171,6 +171,23 @@ TEST(ServeProtocol, BlameRequiresParamAndListsDependencies) {
             std::string::npos);
 }
 
+// Field values may contain any character, including a would-be
+// separator; two requests that differ in any listed field must never
+// share a memo slot.
+TEST(ServeProtocol, MemoKeyKeepsFieldBoundaries) {
+  ServeDaemon daemon(ServeOptions{testSocketPath("memo-key")});
+  json::Object first = parseResponse(daemon.handleLine(
+      R"({"type":"blame","scenario":"x\u001fy","param":"mke2fs.blocksize"})"));
+  json::Object second = parseResponse(daemon.handleLine(
+      R"({"type":"blame","scenario":"x","param":"y\u001fmke2fs.blocksize"})"));
+  ASSERT_TRUE(first.find("ok")->asBool());
+  ASSERT_TRUE(second.find("ok")->asBool());
+  EXPECT_FALSE(second.find("cached")->asBool());
+  EXPECT_NE(first.find("stdout")->asString(), second.find("stdout")->asString());
+  EXPECT_NE(second.find("stdout")->asString().find("not in the parameter registry"),
+            std::string::npos);
+}
+
 TEST(ServeProtocol, InvalidateClearsTheMemo) {
   ServeDaemon daemon(ServeOptions{testSocketPath("invalidate")});
   ASSERT_TRUE(parseResponse(daemon.handleLine(R"({"type":"docck"})")).find("ok")->asBool());

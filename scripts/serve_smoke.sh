@@ -1,8 +1,8 @@
 #!/bin/sh
 # Smoke-test the fsdep serve daemon end to end:
 #   1. start `fsdep serve` on a private socket,
-#   2. issue `fsdep query` requests (ping, extract, docck),
-#   3. compare the extract answer byte-for-byte with the one-shot CLI,
+#   2. issue `fsdep query` requests (ping, extract, docck, blame, depgraph),
+#   3. compare every answer byte-for-byte with the one-shot CLI,
 #   4. check a warm repeat is served from the memo,
 #   5. shut the daemon down cleanly and verify the socket is gone.
 # Usage: scripts/serve_smoke.sh <fsdep-binary> [workdir]
@@ -60,6 +60,14 @@ echo "== docck over the daemon =="
 "$FSDEP" query --socket "$SOCKET" --type docck > "$WORK/docck.txt"
 "$FSDEP" docck > "$WORK/docck-oneshot.txt"
 cmp "$WORK/docck.txt" "$WORK/docck-oneshot.txt"
+
+echo "== blame and depgraph: the daemon runs explain and graph =="
+"$FSDEP" explain mke2fs.sparse_super2 --inter > "$WORK/explain.txt"
+"$FSDEP" query --socket "$SOCKET" --type blame --param mke2fs.sparse_super2 --inter > "$WORK/blame.txt"
+cmp "$WORK/explain.txt" "$WORK/blame.txt"
+"$FSDEP" graph --inter > "$WORK/graph.txt"
+"$FSDEP" query --socket "$SOCKET" --type depgraph --inter > "$WORK/depgraph.txt"
+cmp "$WORK/graph.txt" "$WORK/depgraph.txt"
 
 echo "== clean shutdown =="
 "$FSDEP" query --socket "$SOCKET" --raw '{"type":"shutdown"}' > /dev/null

@@ -91,7 +91,11 @@ class Value {
   std::variant<std::nullptr_t, bool, std::int64_t, double, std::string, Array, Object> data_;
 };
 
-/// Parses a JSON document. Strict: trailing garbage is an error.
+/// Deepest array/object nesting parse() accepts.
+inline constexpr std::size_t kMaxDepth = 512;
+
+/// Parses a JSON document. Strict: trailing garbage is an error, and so
+/// is nesting deeper than kMaxDepth.
 Result<Value> parse(std::string_view text);
 
 /// Serializes with 2-space indentation and a trailing newline.

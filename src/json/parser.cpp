@@ -24,8 +24,16 @@ class Parser {
   Result<Value> parseValue() {
     if (pos_ >= text_.size()) return fail("unexpected end of input");
     switch (text_[pos_]) {
-      case '{': return parseObject();
-      case '[': return parseArray();
+      case '{':
+      case '[': {
+        // Bounded so hostile input (a request line of 60,000 '[') is an
+        // error, not a stack overflow.
+        if (depth_ == kMaxDepth) return fail("nesting exceeds " + std::to_string(kMaxDepth));
+        ++depth_;
+        Result<Value> nested = text_[pos_] == '{' ? parseObject() : parseArray();
+        --depth_;
+        return nested;
+      }
       case '"': return parseString();
       case 't': return parseKeyword("true", Value(true));
       case 'f': return parseKeyword("false", Value(false));
@@ -196,6 +204,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
 };
 
 }  // namespace

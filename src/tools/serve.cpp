@@ -11,49 +11,17 @@
 #include <utility>
 
 #include "corpus/pipeline.h"
-#include "extract/scoring.h"
-#include "model/serialization.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
-#include "tools/condocck.h"
-#include "tools/depgraph.h"
+#include "tools/commands.h"
 
 namespace fsdep::tools {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Same env default the CLI's taintOptionsFromFlags applies, so a query
-/// without inter/intra set matches a one-shot CLI run in the same
-/// environment byte for byte.
-bool envInterDefault() {
-  const char* env = std::getenv("FSDEP_INTER");
-  if (env == nullptr) return false;
-  const std::string value = env;
-  return !(value.empty() || value == "0" || value == "false" || value == "off");
-}
-
-std::string stringField(const json::Object& request, const char* key,
-                        const std::string& fallback) {
-  const json::Value* value = request.find(key);
-  return value != nullptr && value->isString() ? value->asString() : fallback;
-}
-
-bool boolField(const json::Object& request, const char* key, bool fallback) {
-  const json::Value* value = request.find(key);
-  return value != nullptr && value->isBool() ? value->asBool() : fallback;
-}
-
-taint::AnalysisOptions taintOptionsFromRequest(const json::Object& request) {
-  taint::AnalysisOptions topts;
-  topts.inter_procedural = envInterDefault();
-  if (boolField(request, "inter", false)) topts.inter_procedural = true;
-  if (boolField(request, "intra", false)) topts.inter_procedural = false;
-  return topts;
-}
 
 /// Writes one line (with trailing '\n') fully; short writes retried.
 /// MSG_NOSIGNAL: a peer that hung up fails the send with EPIPE instead of
@@ -134,9 +102,27 @@ void ServeDaemon::acceptLoop() {
     // One thread per connection, NOT the global ThreadPool: a pipeline
     // parallelFor inside a request waits for the pool to drain, and a
     // long-lived connection job sitting in the pool would deadlock it.
+    // A finished thread still holds its stack until it is joined.
+    reapConnections();
     const std::lock_guard<std::mutex> lock(conn_mu_);
-    connections_.emplace_back([this, fd] { handleConnection(fd); });
+    const std::uint64_t id = next_connection_++;
+    connections_.emplace(id, std::thread([this, fd, id] {
+      handleConnection(fd);
+      const std::lock_guard<std::mutex> done(conn_mu_);
+      finished_.push_back(id);
+    }));
   }
+}
+
+void ServeDaemon::reapConnections() {
+  // A finished handler no longer needs conn_mu_, so joining under it
+  // cannot deadlock.
+  const std::lock_guard<std::mutex> lock(conn_mu_);
+  for (const std::uint64_t id : finished_) {
+    connections_.at(id).join();
+    connections_.erase(id);
+  }
+  finished_.clear();
 }
 
 void ServeDaemon::handleConnection(int fd) {
@@ -195,7 +181,6 @@ std::string ServeDaemon::handleLine(const std::string& line) {
 
   json::Object response;
   Result<json::Value> parsed = json::parse(line);
-  std::string type;
   if (!parsed.ok() || !parsed.value().isObject()) {
     response["ok"] = false;
     response["error"] =
@@ -204,12 +189,13 @@ std::string ServeDaemon::handleLine(const std::string& line) {
     const json::Object& request = parsed.value().asObject();
     const json::Value* id = request.find("id");
     if (id != nullptr) response["id"] = *id;
-    type = stringField(request, "type", "");
+    const json::Value* type_value = request.find("type");
+    const std::string type =
+        type_value != nullptr && type_value->isString() ? type_value->asString() : "";
     obs::Span span("serve", "request");
     span.arg("type", type);
-    obs::Registry::global().counter("serve.requests", {{"type", type}}).add();
     try {
-      dispatch(type, parsed.value(), response);
+      dispatch(type, request, response);
     } catch (const std::exception& e) {
       response["ok"] = false;
       response["error"] = std::string(e.what());
@@ -233,9 +219,15 @@ std::string ServeDaemon::handleLine(const std::string& line) {
   return json::writeCompact(json::Value(std::move(response)));
 }
 
-void ServeDaemon::dispatch(const std::string& type, const json::Value& request_value,
+void ServeDaemon::dispatch(const std::string& type, const json::Object& request,
                            json::Object& out) {
-  const json::Object& request = request_value.asObject();
+  // The daemon's own requests take no fields.
+  if ((type == "ping" || type == "shutdown" || type == "stats" || type == "invalidate") &&
+      request.size() > (request.contains("id") ? 2u : 1u)) {
+    out["ok"] = false;
+    out["error"] = type + " takes no fields";
+    return;
+  }
 
   if (type == "ping") {
     out["ok"] = true;
@@ -284,16 +276,22 @@ void ServeDaemon::dispatch(const std::string& type, const json::Value& request_v
     return;
   }
 
-  // Analysis requests are memoized on the compact JSON of the fields
-  // that select an answer (JSON quoting keeps any two requests apart):
-  // the warm path is one map lookup — no parse, no pipeline, no disk.
-  json::Object key_fields;
-  key_fields["type"] = type;
-  for (const char* key : {"scenario", "param", "inter", "intra", "no_bridging", "json",
-                          "self_deps"}) {
-    if (const json::Value* value = request.find(key)) key_fields[key] = *value;
+  const Command* command = findCommand(type);
+  if (command == nullptr || !command->served) {
+    out["ok"] = false;
+    out["error"] = type.empty() ? "missing request 'type'" : "unknown request type '" + type + "'";
+    return;
   }
-  const std::string memo_key = json::writeCompact(json::Value(std::move(key_fields)));
+  command->requestCounter().add();
+  Result<Request> parsed = fromJson(*command, request);
+  if (!parsed.ok()) {
+    out["ok"] = false;
+    out["error"] = parsed.error().message;
+    return;
+  }
+
+  // The warm path is one map lookup: no pipeline, no disk.
+  const std::string memo_key = parsed.value().canonical();
   {
     const std::lock_guard<std::mutex> lock(memo_mu_);
     const auto it = memo_.find(memo_key);
@@ -305,108 +303,20 @@ void ServeDaemon::dispatch(const std::string& type, const json::Value& request_v
     }
   }
 
-  std::string stdout_text;
-  if (type == "extract") {
-    taint::AnalysisOptions topts = taintOptionsFromRequest(request);
-    extract::ExtractOptions eopts = corpus::extractOptions();
-    eopts.enable_bridging = !boolField(request, "no_bridging", false);
-    topts.field_bridging = eopts.enable_bridging;
-    const std::string scenario_id = stringField(request, "scenario", "all");
-
-    std::vector<model::Dependency> deps;
-    if (scenario_id == "all") {
-      std::vector<std::vector<model::Dependency>> per_scenario;
-      for (const corpus::Scenario& s : corpus::scenarios()) {
-        per_scenario.push_back(corpus::runScenario(s, topts, &eopts, {options_.jobs}));
-      }
-      deps = extract::dedupeAcrossScenarios(per_scenario);
-    } else {
-      bool found = false;
-      for (const corpus::Scenario& s : corpus::scenarios()) {
-        if (s.id == scenario_id) {
-          deps = corpus::runScenario(s, topts, &eopts, {options_.jobs});
-          found = true;
-        }
-      }
-      if (!found) {
-        out["ok"] = false;
-        out["error"] = "unknown scenario '" + scenario_id + "'";
-        return;
-      }
-    }
-    // Byte-identical to cmdExtract: JSON mode is writePretty of the
-    // model serialization; text mode is summary lines + count trailer.
-    if (boolField(request, "json", false)) {
-      stdout_text = json::writePretty(model::toJson(deps));
-    } else {
-      for (const model::Dependency& dep : deps) {
-        stdout_text += dep.summary();
-        stdout_text.push_back('\n');
-      }
-      stdout_text += "\n" + std::to_string(deps.size()) + " dependencies extracted\n";
-    }
-  } else if (type == "depgraph") {
-    const corpus::Table5Result result =
-        corpus::runTable5(taintOptionsFromRequest(request), nullptr, {options_.jobs});
-    GraphOptions graph_options;
-    graph_options.include_self_deps = boolField(request, "self_deps", false);
-    stdout_text = renderDependencyGraphDot(result.unique_deps, graph_options);
-  } else if (type == "docck") {
-    const DocCheckReport report = runCorpusDocCheck();
-    stdout_text = report.summary() + "\n";
-    for (const DocIssue& issue : report.issues) {
-      stdout_text += "  [" + std::string(docIssueKindName(issue.kind)) + "] " +
-                     issue.explanation + "\n";
-    }
-  } else if (type == "blame") {
-    // Blame-ready query: everything known about one parameter — the
-    // same rendering `fsdep explain` prints, so a future fsdep blame
-    // client starts from an already-stable surface.
-    const std::string param = stringField(request, "param", "");
-    if (param.empty()) {
-      out["ok"] = false;
-      out["error"] = "blame: missing 'param'";
-      return;
-    }
-    const corpus::Table5Result result =
-        corpus::runTable5(taintOptionsFromRequest(request), nullptr, {options_.jobs});
-    const model::Parameter* registered = corpus::ecosystem().findParameter(param);
-    if (registered != nullptr) {
-      stdout_text = param + "  (" + registered->flag + ", " +
-                    model::configStageName(registered->stage) +
-                    " stage): " + registered->description + "\n\n";
-    } else {
-      stdout_text = param + "  (not in the parameter registry)\n\n";
-    }
-    int shown = 0;
-    for (const model::Dependency& dep : result.unique_deps) {
-      if (dep.param != param && dep.other_param != param) continue;
-      stdout_text += "  " + dep.summary() + "\n";
-      for (const std::string& step : dep.trace) stdout_text += "      " + step + "\n";
-      ++shown;
-    }
-    bool documented = false;
-    for (const corpus::ManualEntry& entry : corpus::allManuals()) {
-      if (entry.claim.param == param || entry.claim.other_param == param) {
-        stdout_text += "  manual: \"" + entry.text + "\"\n";
-        documented = true;
-      }
-    }
-    if (shown == 0) stdout_text += "  no extracted dependencies involve this parameter\n";
-    if (!documented) stdout_text += "  no manual claim mentions this parameter\n";
-  } else {
+  parsed.value().jobs = options_.jobs;
+  CommandResult result = command->run(parsed.value());
+  if (result.exit_code != 0) {
     out["ok"] = false;
-    out["error"] = type.empty() ? "missing request 'type'" : "unknown request type '" + type + "'";
+    out["error"] = std::move(result.error);
     return;
   }
-
   {
     const std::lock_guard<std::mutex> lock(memo_mu_);
-    memo_[memo_key] = stdout_text;
+    memo_[memo_key] = result.out;
   }
   out["ok"] = true;
   out["cached"] = false;
-  out["stdout"] = std::move(stdout_text);
+  out["stdout"] = std::move(result.out);
 }
 
 void ServeDaemon::wait() {
@@ -441,13 +351,15 @@ void ServeDaemon::stop() {
     listen_fd_ = -1;
   }
 
-  std::vector<std::thread> connections;
+  std::map<std::uint64_t, std::thread> connections;
   {
     const std::lock_guard<std::mutex> lock(conn_mu_);
     connections.swap(connections_);
   }
-  for (std::thread& t : connections) {
-    if (t.joinable()) t.join();
+  for (auto& [id, t] : connections) t.join();
+  {
+    const std::lock_guard<std::mutex> lock(conn_mu_);
+    finished_.clear();
   }
   ::unlink(options_.socket_path.c_str());
 

@@ -1,30 +1,24 @@
-// fsdep serve — a long-running analysis daemon (ROADMAP item 1). One
-// process keeps the in-memory ComponentCache and the on-disk DiskCache
-// warm across queries, so interactive clients (editors, CI bots, the
-// future `fsdep blame`) get answers in sub-millisecond time instead of
-// paying a full corpus re-parse per invocation.
+// fsdep serve — a long-running analysis daemon. One process keeps the
+// ComponentCache, the DiskCache and a response memo warm across queries.
 //
-// Protocol: newline-delimited JSON over a local Unix stream socket. One
-// request per line, one response line per request, any number of
-// requests per connection:
+// Protocol: newline-delimited JSON over a local Unix stream socket, one
+// response line per request line, any number per connection:
 //
 //   -> {"id":"1","type":"extract","scenario":"s1","json":false}
 //   <- {"id":"1","ok":true,"cached":false,"wall_us":8123,"stdout":"..."}
 //
-// `stdout` is byte-identical to what the one-shot CLI command prints for
-// the same options — the daemon is a transport, not a different
-// renderer. Request types: ping, extract, depgraph, docck, blame,
-// stats, invalidate, shutdown (see docs/serve.md for the full schema).
-// Malformed requests produce {"ok":false,"error":...} without killing
-// the connection. A request line longer than kMaxRequestLineBytes gets
-// that error response and then the connection is closed.
+// A request for a served command (tools/commands.h) is parsed into the
+// Request the CLI builds from argv and run by the same function, so
+// `stdout` is byte-identical to the one-shot command; the daemon itself
+// answers ping, stats, invalidate and shutdown (docs/serve.md). A
+// malformed request gets {"ok":false,"error":...} on the same
+// connection; a line longer than kMaxRequestLineBytes gets that answer
+// and then the connection is closed.
 //
-// Concurrency: every connection gets its own handler thread (the global
-// ThreadPool is NOT used for connections — parallelFor inside a request
-// drains the pool, and a long-lived connection job would deadlock it);
-// analysis work inside a request still fans out on the ThreadPool via
-// the pipeline. Identical warm queries are answered from an in-memory
-// response memo (`cached`: true).
+// Concurrency: every connection gets its own handler thread, not the
+// global ThreadPool (parallelFor inside a request drains the pool, and a
+// long-lived connection job would deadlock it); the accept loop joins
+// the handlers that have finished.
 #pragma once
 
 #include <atomic>
@@ -93,8 +87,10 @@ class ServeDaemon {
  private:
   void acceptLoop();
   void handleConnection(int fd);
+  /// Joins the connection threads that have finished.
+  void reapConnections();
   /// Dispatches a parsed request; fills `out` (ok/stdout or error).
-  void dispatch(const std::string& type, const json::Value& request, json::Object& out);
+  void dispatch(const std::string& type, const json::Object& request, json::Object& out);
 
   ServeOptions options_;
   int listen_fd_ = -1;
@@ -103,7 +99,9 @@ class ServeDaemon {
   std::atomic<bool> stopping_{false};
 
   std::mutex conn_mu_;
-  std::vector<std::thread> connections_;
+  std::map<std::uint64_t, std::thread> connections_;  ///< by connection number
+  std::vector<std::uint64_t> finished_;               ///< handlers that returned
+  std::uint64_t next_connection_ = 0;
 
   /// Response memo: canonical request -> stdout payload. Serving a warm
   /// query is a map lookup; `invalidate` clears it together with the

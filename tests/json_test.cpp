@@ -82,6 +82,21 @@ TEST(JsonParse, Errors) {
   EXPECT_FALSE(parse("1 2").ok()) << "trailing garbage must be rejected";
 }
 
+TEST(JsonParse, NestingIsBounded) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(parse(nested(kMaxDepth)).ok());
+  const auto deeper = parse(nested(kMaxDepth + 1));
+  ASSERT_FALSE(deeper.ok());
+  EXPECT_NE(deeper.error().message.find("nesting exceeds " + std::to_string(kMaxDepth)),
+            std::string::npos);
+  // Far past any stack: an error, not a crash.
+  EXPECT_FALSE(parse(std::string(60000, '[')).ok());
+  EXPECT_FALSE(parse(std::string(60000, '{')).ok());
+  EXPECT_FALSE(parse("{\"a\":" + std::string(60000, '[')).ok());
+}
+
 TEST(JsonParse, ErrorReportsLine) {
   const auto v = parse("{\n  \"a\": 1,\n  \"b\": oops\n}");
   ASSERT_FALSE(v.ok());

@@ -1,10 +1,12 @@
 // fsdep serve protocol tests: an in-process daemon on a temp socket,
 // driven through both the raw line handler and real socket round trips.
-// Byte-identity against the direct pipeline, memoized warm queries,
-// malformed-request tolerance, and clean shutdown.
+// Byte-identity against the direct pipeline and the command layer,
+// memoized warm queries, strict request parsing, malformed-request
+// tolerance, hostile input, connection reaping, and clean shutdown.
 #include "tools/serve.h"
 
 #include <gtest/gtest.h>
+#include <malloc.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -13,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +24,7 @@
 #include "extract/scoring.h"
 #include "json/json.h"
 #include "model/serialization.h"
+#include "tools/commands.h"
 
 namespace fsdep::tools {
 namespace {
@@ -171,21 +175,91 @@ TEST(ServeProtocol, BlameRequiresParamAndListsDependencies) {
             std::string::npos);
 }
 
-// Field values may contain any character, including a would-be
-// separator; two requests that differ in any listed field must never
-// share a memo slot.
+// The memo key is Request::canonical(): JSON, so a value may contain any
+// character, including the 0x1f that once separated fields. The first
+// pair aliased under that old key (the type, then every field's value,
+// joined by 0x1f); blame takes no scenario, so both are now rejected.
+// The second pair uses only fields blame accepts and aliases under a
+// key that joins the given values with 0x1f; it must get two answers.
 TEST(ServeProtocol, MemoKeyKeepsFieldBoundaries) {
   ServeDaemon daemon(ServeOptions{testSocketPath("memo-key")});
-  json::Object first = parseResponse(daemon.handleLine(
-      R"({"type":"blame","scenario":"x\u001fy","param":"mke2fs.blocksize"})"));
-  json::Object second = parseResponse(daemon.handleLine(
-      R"({"type":"blame","scenario":"x","param":"y\u001fmke2fs.blocksize"})"));
+  for (const char* line :
+       {R"({"type":"blame","scenario":"x\u001fy","param":"mke2fs.blocksize"})",
+        R"({"type":"blame","scenario":"x","param":"y\u001fmke2fs.blocksize"})"}) {
+    json::Object rejected = parseResponse(daemon.handleLine(line));
+    EXPECT_FALSE(rejected.find("ok")->asBool());
+    EXPECT_NE(rejected.find("error")->asString().find("'scenario'"), std::string::npos);
+  }
+
+  json::Object first = parseResponse(
+      daemon.handleLine(R"({"type":"blame","param":"mke2fs.blocksize\u001ftrue"})"));
+  json::Object second = parseResponse(
+      daemon.handleLine(R"({"type":"blame","param":"mke2fs.blocksize","inter":true})"));
   ASSERT_TRUE(first.find("ok")->asBool());
   ASSERT_TRUE(second.find("ok")->asBool());
   EXPECT_FALSE(second.find("cached")->asBool());
-  EXPECT_NE(first.find("stdout")->asString(), second.find("stdout")->asString());
-  EXPECT_NE(second.find("stdout")->asString().find("not in the parameter registry"),
+  EXPECT_NE(first.find("stdout")->asString().find("not in the parameter registry"),
             std::string::npos);
+  EXPECT_EQ(second.find("stdout")->asString().find("not in the parameter registry"),
+            std::string::npos);
+}
+
+// An unknown or wrongly typed field is an error, not an ignored option.
+TEST(ServeProtocol, UnknownAndWronglyTypedFieldsAreRejected) {
+  ServeDaemon daemon(ServeOptions{testSocketPath("strict")});
+  const auto errorOf = [&](const std::string& line) {
+    json::Object response = parseResponse(daemon.handleLine(line));
+    EXPECT_FALSE(response.find("ok")->asBool()) << line;
+    const json::Value* error = response.find("error");
+    return error != nullptr && error->isString() ? error->asString() : std::string();
+  };
+  EXPECT_NE(errorOf(R"({"type":"extract","scenario":"s1","legacy_walk":true})")
+                .find("field 'legacy_walk' is unknown"),
+            std::string::npos);
+  EXPECT_NE(errorOf(R"({"type":"blame","param":"mke2fs.blocksize","inter":"yes"})")
+                .find("field 'inter' must be a bool"),
+            std::string::npos);
+  EXPECT_NE(errorOf(R"({"type":"extract","scenario":3})").find("field 'scenario' must be a string"),
+            std::string::npos);
+  EXPECT_NE(errorOf(R"({"type":"ping","verbose":true})").find("ping takes no fields"),
+            std::string::npos);
+  EXPECT_NE(errorOf(R"({"type":"table5"})").find("unknown request type 'table5'"),
+            std::string::npos)
+      << "only served commands are request types";
+  EXPECT_EQ(daemon.memoHits(), 0u);
+}
+
+// Every served command, inter and intra: the daemon's answer is exactly
+// what the command layer's run prints for the same Request.
+TEST(ServeProtocol, DaemonAnswerEqualsTheCommandRunForEveryServedCommand) {
+  ServeDaemon daemon(ServeOptions{testSocketPath("parity")});
+  int compared = 0;
+  for (const Command& command : commands()) {
+    if (!command.served) continue;
+    const auto takes = [&](std::string_view flag) {
+      for (const FlagSpec& spec : command.flags) {
+        if (spec.name == flag) return true;
+      }
+      return false;
+    };
+    for (const char* mode : {"inter", "intra"}) {
+      json::Object request;
+      request["type"] = std::string(command.alias.empty() ? command.name : command.alias);
+      if (takes("param")) request["param"] = "mke2fs.sparse_super2";
+      if (takes(mode)) request[mode] = true;
+      const Result<Request> parsed = fromJson(command, request);
+      ASSERT_TRUE(parsed.ok()) << parsed.error().message;
+      const CommandResult direct = command.run(parsed.value());
+      ASSERT_EQ(direct.exit_code, 0) << direct.error;
+
+      const json::Object served =
+          parseResponse(daemon.handleLine(json::writeCompact(json::Value(request))));
+      ASSERT_TRUE(served.find("ok")->asBool()) << command.name << " " << mode;
+      EXPECT_EQ(served.find("stdout")->asString(), direct.out) << command.name << " " << mode;
+      ++compared;
+    }
+  }
+  EXPECT_EQ(compared, 8) << "extract, explain, graph and docck, each inter and intra";
 }
 
 TEST(ServeProtocol, InvalidateClearsTheMemo) {
@@ -293,6 +367,67 @@ TEST(ServeSocket, OversizeRequestLineIsRejectedAndOtherClientsAreServed) {
   EXPECT_NE(error.find("error")->asString().find("exceeds"), std::string::npos);
 
   EXPECT_TRUE(pingAnswered(socket_path));
+  daemon.stop();
+}
+
+// A request nested far past any stack (under the line cap) is a typed
+// error; the daemon keeps serving everyone else.
+TEST(ServeSocket, DeeplyNestedRequestIsRejectedAndOtherClientsAreServed) {
+  const std::string socket_path = testSocketPath("nesting");
+  ServeDaemon daemon(ServeOptions{socket_path});
+  ASSERT_TRUE(daemon.start().ok());
+
+  const int fd = connectRaw(socket_path);
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(sendAll(fd, std::string(60000, '[') + "\n"));
+  ::shutdown(fd, SHUT_WR);
+  const std::string reply = readToEof(fd);
+  ::close(fd);
+  ASSERT_FALSE(reply.empty()) << "no response before the receive timeout";
+  const json::Object error = parseResponse(reply.substr(0, reply.find('\n')));
+  EXPECT_FALSE(error.find("ok")->asBool());
+  EXPECT_NE(error.find("error")->asString().find("nesting exceeds"), std::string::npos);
+
+  EXPECT_TRUE(pingAnswered(socket_path));
+  daemon.stop();
+}
+
+std::uint64_t vmSizeKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoull(line.substr(7));
+  }
+  return 0;
+}
+
+// Each finished connection thread is joined while the daemon runs, so
+// its stack is released; a long-lived daemon does not grow per client.
+// Every client waits for the daemon to close its end, so at most one
+// handler is alive when the next connection is accepted. glibc reserves
+// 64 MB of address space for each new malloc arena, at its discretion
+// and at most 8 per core, so the test pins one arena: what is left to
+// grow is per-connection state.
+TEST(ServeSocket, FinishedConnectionsAreReaped) {
+  mallopt(M_ARENA_MAX, 1);
+  const std::string socket_path = testSocketPath("reap");
+  ServeDaemon daemon(ServeOptions{socket_path});
+  ASSERT_TRUE(daemon.start().ok());
+  const auto pingAndWaitForClose = [&] {
+    const int fd = connectRaw(socket_path);
+    if (fd < 0 || !sendAll(fd, "{\"type\":\"ping\"}\n")) return false;
+    ::shutdown(fd, SHUT_WR);
+    const std::string reply = readToEof(fd);
+    ::close(fd);
+    return reply.find("\"pong\"") != std::string::npos;
+  };
+  ASSERT_TRUE(pingAndWaitForClose());
+  const std::uint64_t before = vmSizeKb();
+  ASSERT_GT(before, 0u);
+  for (int i = 0; i < 64; ++i) ASSERT_TRUE(pingAndWaitForClose());
+  const std::uint64_t after = vmSizeKb();
+  EXPECT_LT(after, before + 64 * 1024) << "VmSize grew from " << before << " kB to " << after
+                                       << " kB over 64 sequential connections";
   daemon.stop();
 }
 

@@ -184,10 +184,11 @@ int main(int argc, char** argv) {
     return usageError("profile format wants text|json|folded, got '" + profile_format + "'");
   }
 
+  // A mistyped command is named on stderr; the usage text is `fsdep help`.
   const tools::Command* command = tools::findCommand(name);
   if (command == nullptr || command->run == nullptr) {
-    std::fputs(tools::usageText().c_str(), stdout);
-    return 2;
+    return usageError(name.empty() ? "fsdep: no command given (see 'fsdep help')"
+                                   : "fsdep: unknown command '" + name + "'");
   }
   const Result<tools::Request> request = tools::parseArgv(*command, args);
   if (!request.ok()) return usageError(request.error().message);

@@ -1,11 +1,25 @@
 #include "obs/report.h"
 
+#include <sys/resource.h>
+
 #include <cstdio>
 
 #include "obs/jsonw.h"
 #include "obs/metrics.h"
 
 namespace fsdep::obs {
+
+namespace {
+
+/// The process's peak resident set so far, in KiB (Linux reports
+/// ru_maxrss in KiB).
+std::uint64_t peakRssKb() {
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) != 0) return 0;
+  return static_cast<std::uint64_t>(usage.ru_maxrss);
+}
+
+}  // namespace
 
 RunReport& RunReport::global() {
   static RunReport report;
@@ -23,6 +37,7 @@ void RunReport::setExitCode(int code) { exit_code_ = code; }
 void RunReport::setTraceDropped(std::uint64_t dropped) { trace_dropped_ = dropped; }
 
 void RunReport::note(const std::string& key, std::uint64_t value) {
+  const std::lock_guard<std::mutex> lock(facts_mu_);
   for (Fact& fact : facts_) {
     if (fact.key == key) {
       fact.is_string = false;
@@ -34,6 +49,7 @@ void RunReport::note(const std::string& key, std::uint64_t value) {
 }
 
 void RunReport::note(const std::string& key, const std::string& value) {
+  const std::lock_guard<std::mutex> lock(facts_mu_);
   for (Fact& fact : facts_) {
     if (fact.key == key) {
       fact.is_string = true;
@@ -57,15 +73,19 @@ std::string RunReport::renderJson() const {
   w.endArray();
   w.field("jobs", jobs_);
   w.field("wall_ms", wall_ms_);
+  w.field("peak_rss_kb", peakRssKb());
   w.field("exit_code", static_cast<std::int64_t>(exit_code_));
   w.field("trace_dropped_events", trace_dropped_);
   w.key("facts");
   w.beginObject();
-  for (const Fact& fact : facts_) {
-    if (fact.is_string) {
-      w.field(fact.key, std::string_view(fact.text));
-    } else {
-      w.field(fact.key, fact.number);
+  {
+    const std::lock_guard<std::mutex> lock(facts_mu_);
+    for (const Fact& fact : facts_) {
+      if (fact.is_string) {
+        w.field(fact.key, std::string_view(fact.text));
+      } else {
+        w.field(fact.key, fact.number);
+      }
     }
   }
   w.endObject();
@@ -95,6 +115,7 @@ void RunReport::clear() {
   wall_ms_ = 0;
   exit_code_ = 0;
   trace_dropped_ = 0;
+  const std::lock_guard<std::mutex> lock(facts_mu_);
   facts_.clear();
 }
 

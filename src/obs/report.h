@@ -1,12 +1,13 @@
 // Structured per-run reports (`--report out.json`): one JSON document
 // per CLI invocation recording the version, command line, worker count,
-// wall time, the full metrics registry snapshot, and any command-
-// specific facts (extracted-dependency counts, the CrashCk outcome
-// histogram, ...). Benchmark and CI runs diff these files instead of
-// scraping stdout.
+// wall time, peak resident set, the full metrics registry snapshot, and
+// any command-specific facts (extracted-dependency counts, the CrashCk
+// outcome histogram, ...). Benchmark and CI runs diff these files
+// instead of scraping stdout.
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -29,7 +30,8 @@ class RunReport {
   void setTraceDropped(std::uint64_t dropped);
 
   /// Flat command-specific extras, rendered under "facts" in insertion
-  /// order. Duplicate keys overwrite.
+  /// order. Duplicate keys overwrite. Safe to call from the daemon's
+  /// concurrent requests.
   void note(const std::string& key, std::uint64_t value);
   void note(const std::string& key, const std::string& value);
 
@@ -54,7 +56,8 @@ class RunReport {
   double wall_ms_ = 0;
   int exit_code_ = 0;
   std::uint64_t trace_dropped_ = 0;
-  std::vector<Fact> facts_;
+  mutable std::mutex facts_mu_;
+  std::vector<Fact> facts_;  ///< guarded by facts_mu_
 };
 
 }  // namespace fsdep::obs

@@ -203,12 +203,14 @@ void Analyzer::analyzeFunction(FunctionTaint& result) {
   span.arg("function", result.fn->name);
   const std::uint64_t stmts_before = stmt_visits_;
   const cfg::Cfg& cfg = *result.cfg;
-  result.block_entry.assign(cfg.size(), TaintState{});
+  // Block entry states live only as long as the fixpoint: after it,
+  // consumers read at_condition, exit_state and return_labels.
+  std::vector<TaintState> block_entry(cfg.size());
   result.at_condition.assign(cfg.size(), TaintState{});
 
   TaintState entry;
   seedEntryState(*result.fn, entry);
-  result.block_entry[cfg.entry()] = std::move(entry);
+  block_entry[cfg.entry()] = std::move(entry);
 
   const std::vector<cfg::BlockId>& order = result.rpo;
   // Dirty-block fixpoint: a block is reprocessed only when its entry
@@ -225,10 +227,10 @@ void Analyzer::analyzeFunction(FunctionTaint& result) {
       if (dirty[id] == 0) continue;
       dirty[id] = 0;
       const cfg::BasicBlock& block = cfg.block(id);
-      TaintState state = result.block_entry[id];
+      TaintState state = block_entry[id];
       execBlock(result.code->program, id, state, &result.at_condition);
       for (const cfg::Edge& e : block.successors) {
-        const bool grew = result.block_entry[e.target].mergeFrom(state);
+        const bool grew = block_entry[e.target].mergeFrom(state);
         ++merge_calls_;
         merge_grew_ += grew ? 1 : 0;
         if (grew) {
@@ -252,7 +254,7 @@ void Analyzer::analyzeFunction(FunctionTaint& result) {
   for (const cfg::BlockId id : order) {
     const cfg::BasicBlock& block = cfg.block(id);
     if (!block.is_exit) continue;
-    TaintState state = result.block_entry[id];
+    TaintState& state = block_entry[id];
     const ir::BlockRange& range = result.code->program.blocks[id];
     ++ir_visits_;
     stmt_visits_ += range.stmt_count;

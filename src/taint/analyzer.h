@@ -96,8 +96,6 @@ struct FunctionTaint {
   /// every fixpoint over this function (concrete passes, symbolic
   /// sweeps, exit replay).
   std::vector<cfg::BlockId> rpo;
-  /// Entry state of each basic block after the fixpoint (indexed by id).
-  std::vector<TaintState> block_entry;
   /// State at the point each block's branch condition is evaluated.
   std::vector<TaintState> at_condition;
   /// Union of the states at every function exit (after the exit blocks'
@@ -176,8 +174,9 @@ class Analyzer {
   /// without it the analyzer lazily owns a private cache.
   void setIrCache(std::shared_ptr<ir::IrCache> cache) { ir_cache_ = std::move(cache); }
 
-  /// Bytes the result arena currently holds (per-function taint state).
-  [[nodiscard]] std::size_t arenaBytes() const { return arena_.bytesUsed(); }
+  /// Bytes the result arena has reserved (per-function taint state):
+  /// its block sizes, not just the bytes handed out.
+  [[nodiscard]] std::size_t arenaBytes() const { return arena_.bytesReserved(); }
 
  private:
   void seedEntryState(const ast::FunctionDecl& fn, TaintState& state);

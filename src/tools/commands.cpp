@@ -66,11 +66,20 @@ bool envInterDefault() {
   return !(value.empty() || value == "0" || value == "false" || value == "off");
 }
 
+/// Names the taint engine `options` select ("summary" or "intra") and
+/// records it as the run's `taint_engine` report fact.
+const char* noteEngine(const taint::AnalysisOptions& options) {
+  const char* engine = options.inter_procedural ? "summary" : "intra";
+  obs::RunReport::global().note("taint_engine", engine);
+  return engine;
+}
+
 /// --intra beats --inter, which beats FSDEP_INTER.
 taint::AnalysisOptions taintOptions(const Request& request) {
   taint::AnalysisOptions options;
   options.inter_procedural =
       !request.has("intra") && (request.has("inter") || envInterDefault());
+  noteEngine(options);
   return options;
 }
 
@@ -264,7 +273,7 @@ CommandResult cmdAmplify(const Request& request) {
   const double extract_ms = millisSince(t2, t3);
   const double total_ms = millisSince(t0, t3);
   const bool over_budget = budget_ms > 0 && total_ms > static_cast<double>(budget_ms);
-  const char* engine = topts.inter_procedural ? "summary" : "intra";
+  const char* engine = noteEngine(topts);
 
   {
     obs::RunReport& report = obs::RunReport::global();
@@ -314,6 +323,7 @@ CommandResult cmdAmplify(const Request& request) {
 }
 
 CommandResult cmdDocCk(const Request&) {
+  noteEngine({});  // the checkers extract with the default engine
   const DocCheckReport report = runCorpusDocCheck();
   CommandResult result{report.summary() + "\n"};
   for (const DocIssue& issue : report.issues) {
@@ -324,6 +334,7 @@ CommandResult cmdDocCk(const Request&) {
 }
 
 CommandResult cmdHandleCk(const Request&) {
+  noteEngine({});
   const HandleCheckReport report = runCorpusHandleCheck();
   CommandResult result{report.summary() + "\n"};
   for (const HandleCase& c : report.cases) {
@@ -337,6 +348,7 @@ CommandResult cmdHandleCk(const Request&) {
 
 CommandResult cmdBugCk(const Request& request) {
   const int runs = static_cast<int>(request.count("runs", 100));
+  noteEngine({});
   const std::vector<model::Dependency> deps = corpus::runTable5().unique_deps;
   const CampaignResult naive = runCampaign(runs, false, deps);
   const CampaignResult aware = runCampaign(runs, true, deps);
@@ -481,6 +493,7 @@ CommandResult cmdCampaign(const Request& request) {
   options.minimize = !request.has("no-minimize");
   options.corpus_dir = request.string("corpus");
 
+  noteEngine({});
   const std::vector<model::Dependency> deps = corpus::runTable5().unique_deps;
   const Result<CampaignReport> ran = runMatrixCampaign(options, deps);
   if (!ran.ok()) return failure(2, ran.error().message);

@@ -142,6 +142,8 @@ TEST(CliObs, Table5StdoutIsByteIdenticalUnderInstrumentation) {
   EXPECT_EQ(r.find("exit_code")->asInt(), 0);
   EXPECT_EQ(r.find("jobs")->asInt(), 4);
   EXPECT_GT(r.find("wall_ms")->asDouble(), 0.0);
+  ASSERT_NE(r.find("peak_rss_kb"), nullptr);
+  EXPECT_GT(r.find("peak_rss_kb")->asInt(), 0);
   EXPECT_GT(r.find("facts")->asObject().find("unique_deps")->asInt(), 0);
   EXPECT_TRUE(r.find("metrics")->asObject().contains("histograms"));
 }

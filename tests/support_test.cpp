@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
+#include "support/arena.h"
 #include "support/diagnostics.h"
 #include "support/result.h"
 #include "support/source_manager.h"
@@ -140,6 +143,56 @@ TEST(Result, TakeMovesValue) {
   Result<std::string> r(std::string("payload"));
   const std::string taken = std::move(r).take();
   EXPECT_EQ(taken, "payload");
+}
+
+TEST(Arena, SmallArenaReservesLittle) {
+  Arena arena;
+  arena.allocate(100, 8);
+  EXPECT_EQ(arena.bytesUsed(), 100u);
+  EXPECT_LE(arena.bytesReserved(), 4096u);
+}
+
+// Block sizes double from the first block, so everything reserved before
+// the newest block is at most what was handed out (these 8-byte objects
+// pack the power-of-two blocks exactly), and the newest block is at
+// most that plus the first block.
+TEST(Arena, ReservedStaysWithinTwiceUsedPlusTheFirstBlock) {
+  Arena arena;
+  for (std::uint64_t i = 0; i < 40000; ++i) {
+    arena.make<std::uint64_t>(i);
+    ASSERT_LE(arena.bytesReserved(), 2 * arena.bytesUsed() + Arena::kFirstBlockSize)
+        << "after " << i + 1 << " objects";
+  }
+  // Growth stops at the cap: 320,000 bytes need 7 doubling blocks
+  // (127 KiB) plus 3 capped ones.
+  EXPECT_EQ(arena.blockCount(), 10u);
+  EXPECT_EQ(arena.bytesReserved(), 127 * 1024 + 3 * Arena::kMaxBlockSize);
+}
+
+TEST(Arena, OversizedRequestGetsOneDedicatedBlock) {
+  Arena arena;
+  arena.allocate(16, 8);
+  const std::size_t big = 3 * Arena::kMaxBlockSize;
+  void* storage = arena.allocate(big, 8);
+  ASSERT_NE(storage, nullptr);
+  EXPECT_EQ(arena.blockCount(), 2u);
+  EXPECT_EQ(arena.bytesReserved(), Arena::kFirstBlockSize + big);
+  // Small requests keep bumping in the block that was current.
+  arena.allocate(16, 8);
+  EXPECT_EQ(arena.blockCount(), 2u);
+  EXPECT_EQ(arena.bytesUsed(), 32 + big);
+}
+
+TEST(Arena, ResetKeepsOnlyTheFirstBlock) {
+  Arena arena;
+  for (int i = 0; i < 1000; ++i) arena.allocate(100, 8);
+  EXPECT_GT(arena.blockCount(), 1u);
+  arena.reset();
+  EXPECT_EQ(arena.blockCount(), 1u);
+  EXPECT_EQ(arena.bytesReserved(), Arena::kFirstBlockSize);
+  EXPECT_EQ(arena.bytesUsed(), 0u);
+  arena.allocate(100, 8);
+  EXPECT_EQ(arena.blockCount(), 1u);
 }
 
 }  // namespace

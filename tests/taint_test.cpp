@@ -35,8 +35,8 @@ Setup analyze(const std::string& text, const std::vector<Seed>& seeds,
   return s;
 }
 
-/// Labels of variable `name` at function exit (last block's entry state,
-/// conservative but deterministic for straight-line code).
+/// Labels of variable `name` at function exit (the union of the states
+/// at every exit).
 std::set<std::string> exitLabels(const Setup& s, const std::string& fn_name,
                                  const std::string& var_name) {
   const FunctionTaint* ft = s.analyzer->resultFor(fn_name);
@@ -49,7 +49,6 @@ std::set<std::string> exitLabels(const Setup& s, const std::string& fn_name,
     }
   };
   collect(ft->exit_state);
-  for (const TaintState& state : ft->block_entry) collect(state);
   return out;
 }
 

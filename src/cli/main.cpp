@@ -114,8 +114,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "%s\n", message.c_str());
     return 2;
   };
+  // The global flags may stand anywhere; what they leave over is the
+  // command name followed by its arguments.
   const Result<tools::Request> parsed_globals = tools::parseArgv(
-      tools::globalOptions(), std::vector<std::string>(argv + std::min(argc, 2), argv + argc));
+      tools::globalOptions(), std::vector<std::string>(argv + std::min(argc, 1), argv + argc));
   if (!parsed_globals.ok()) return usageError(parsed_globals.error().message);
   const tools::Request& globals = parsed_globals.value();
 
@@ -165,8 +167,12 @@ int main(int argc, char** argv) {
   // `fsdep profile [--format F] [--out FILE] [<command> [args...]]` runs
   // the wrapped command (default table5) with profiling on; without
   // --out, the attribution goes to stdout after the command's output.
-  std::string name = argc > 1 ? argv[1] : "";
   std::vector<std::string> args = globals.list("args");
+  if (!args.empty() && args.front().rfind("--", 0) == 0) {
+    return usageError("fsdep: unknown flag '" + args.front() + "'");
+  }
+  std::string name = args.empty() ? "" : args.front();
+  if (!args.empty()) args.erase(args.begin());
   if (name == "profile") {
     const Result<tools::Request> profile = tools::parseArgv(*tools::findCommand(name), args);
     if (!profile.ok()) return usageError(profile.error().message);

@@ -54,7 +54,44 @@ BlockDevice::BlockDevice(std::uint32_t block_count, std::uint32_t block_size)
   if (block_size == 0 || (block_size & (block_size - 1)) != 0) {
     throw IoError("block size must be a nonzero power of two");
   }
-  data_.assign(static_cast<std::size_t>(block_count) * block_size, 0);
+  blocks_.resize(block_count);
+}
+
+std::uint8_t* BlockDevice::writableBlock(std::uint32_t block) {
+  std::unique_ptr<std::uint8_t[]>& slot = blocks_[block];
+  if (!slot) slot = std::make_unique<std::uint8_t[]>(block_size_);
+  return slot.get();
+}
+
+void BlockDevice::copyOut(std::uint64_t offset, std::span<std::uint8_t> out) const {
+  while (!out.empty()) {
+    const auto block = static_cast<std::uint32_t>(offset / block_size_);
+    const std::size_t in_block = offset % block_size_;
+    const std::size_t n = std::min<std::size_t>(out.size(), block_size_ - in_block);
+    if (const std::uint8_t* src = blocks_[block].get()) {
+      std::memcpy(out.data(), src + in_block, n);
+    } else {
+      std::memset(out.data(), 0, n);
+    }
+    out = out.subspan(n);
+    offset += n;
+  }
+}
+
+void BlockDevice::copyIn(std::uint64_t offset, std::span<const std::uint8_t> data) {
+  while (!data.empty()) {
+    const auto block = static_cast<std::uint32_t>(offset / block_size_);
+    const std::size_t in_block = offset % block_size_;
+    const std::size_t n = std::min<std::size_t>(data.size(), block_size_ - in_block);
+    std::memcpy(writableBlock(block) + in_block, data.data(), n);
+    data = data.subspan(n);
+    offset += n;
+  }
+}
+
+std::uint32_t BlockDevice::residentBlocks() const {
+  return static_cast<std::uint32_t>(std::count_if(
+      blocks_.begin(), blocks_.end(), [](const auto& slot) { return slot != nullptr; }));
 }
 
 void BlockDevice::checkRange(std::uint32_t block) const {
@@ -92,7 +129,7 @@ void BlockDevice::attemptWrite(std::uint64_t offset, std::span<const std::uint8_
     if (plan_->crash_at_write && plan_write_index_ == *plan_->crash_at_write) {
       // Persist only a torn prefix of this write, then lose power.
       const std::size_t keep = tornPrefixLength(data.size());
-      if (keep > 0) std::memcpy(data_.data() + offset, data.data(), keep);
+      copyIn(offset, data.first(keep));
       frozen_ = true;
       noteFaultFired("crash", plan_write_index_);
       throw IoError("crash injected at write index " +
@@ -110,7 +147,7 @@ void BlockDevice::attemptWrite(std::uint64_t offset, std::span<const std::uint8_
   if (bad_write_blocks_.contains(block)) {
     throw IoError("injected write error at block " + std::to_string(block));
   }
-  std::memcpy(data_.data() + offset, data.data(), data.size());
+  copyIn(offset, data);
   ++writes_;
   ++plan_write_index_;
   writesCounter().add();
@@ -131,7 +168,7 @@ void BlockDevice::attemptRead(std::uint64_t offset, std::span<std::uint8_t> out,
   if (bad_read_blocks_.contains(block)) {
     throw IoError("injected read error at block " + std::to_string(block));
   }
-  std::memcpy(out.data(), data_.data() + offset, out.size());
+  copyOut(offset, out);
   ++reads_;
   readsCounter().add();
 }
@@ -171,7 +208,7 @@ void BlockDevice::writeBlock(std::uint32_t block, std::span<const std::uint8_t> 
 }
 
 void BlockDevice::readBytes(std::uint64_t offset, std::span<std::uint8_t> out) const {
-  if (offset + out.size() > data_.size()) throw IoError("byte read out of range");
+  if (offset + out.size() > sizeBytes()) throw IoError("byte read out of range");
   const std::uint32_t block = static_cast<std::uint32_t>(offset / block_size_);
   for (std::uint32_t attempt = 1;; ++attempt) {
     try {
@@ -188,7 +225,7 @@ void BlockDevice::readBytes(std::uint64_t offset, std::span<std::uint8_t> out) c
 }
 
 void BlockDevice::writeBytes(std::uint64_t offset, std::span<const std::uint8_t> data) {
-  if (offset + data.size() > data_.size()) throw IoError("byte write out of range");
+  if (offset + data.size() > sizeBytes()) throw IoError("byte write out of range");
   const std::uint32_t block = static_cast<std::uint32_t>(offset / block_size_);
   for (std::uint32_t attempt = 1;; ++attempt) {
     try {
@@ -206,15 +243,13 @@ void BlockDevice::writeBytes(std::uint64_t offset, std::span<const std::uint8_t>
 
 void BlockDevice::resize(std::uint32_t new_block_count) {
   if (frozen_) throw IoError("device frozen by injected crash");
-  data_.resize(static_cast<std::size_t>(new_block_count) * block_size_, 0);
+  blocks_.resize(new_block_count);
   block_count_ = new_block_count;
 }
 
 void BlockDevice::corruptBlock(std::uint32_t block, std::uint32_t byte_offset) {
   checkRange(block);
-  const std::size_t index =
-      static_cast<std::size_t>(block) * block_size_ + (byte_offset % block_size_);
-  data_[index] ^= 0xFF;
+  writableBlock(block)[byte_offset % block_size_] ^= 0xFF;
 }
 
 void BlockDevice::setFaultPlan(FaultPlan plan) {

@@ -24,9 +24,15 @@
 //     Backoff is simulated deterministically: ticks accumulate in a
 //     counter instead of sleeping. Crash-frozen and dead devices are
 //     never retried.
+//
+// Storage is sparse: one buffer per block, allocated zero-filled on the
+// block's first write (a torn prefix and corruptBlock included). A
+// block never written reads as zeros, so a device costs only the blocks
+// an operation touches, not its nominal size.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <set>
 #include <span>
@@ -95,6 +101,10 @@ class BlockDevice {
   /// Grows (or shrinks) the device; new blocks are zeroed.
   void resize(std::uint32_t new_block_count);
 
+  /// Blocks holding a buffer (written at least once since they were
+  /// last dropped by a shrink); every other block reads as zeros.
+  [[nodiscard]] std::uint32_t residentBlocks() const;
+
   // --- Fault injection ---------------------------------------------
   /// Any read of `block` fails with IoError.
   void injectReadError(std::uint32_t block) { bad_read_blocks_.insert(block); }
@@ -139,10 +149,15 @@ class BlockDevice {
                    std::uint32_t block) const;
   /// Bytes of the crashing write that persist under the torn mode.
   [[nodiscard]] std::size_t tornPrefixLength(std::size_t write_size) const;
+  /// Raw block-by-block copies; the caller has range-checked.
+  void copyOut(std::uint64_t offset, std::span<std::uint8_t> out) const;
+  void copyIn(std::uint64_t offset, std::span<const std::uint8_t> data);
+  /// The block's buffer, allocated zero-filled if it has none yet.
+  std::uint8_t* writableBlock(std::uint32_t block);
 
   std::uint32_t block_count_;
   std::uint32_t block_size_;
-  std::vector<std::uint8_t> data_;
+  std::vector<std::unique_ptr<std::uint8_t[]>> blocks_;  ///< null reads as zeros
   std::set<std::uint32_t> bad_read_blocks_;
   std::set<std::uint32_t> bad_write_blocks_;
   mutable std::optional<FaultPlan> plan_;  // transients decay in place

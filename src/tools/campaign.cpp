@@ -483,16 +483,26 @@ Result<CellOutcome> runCellOn(BlockDevice& device, const GeneratedConfig& config
                               std::uint64_t seed) {
   const OpSpec* spec = findOpSpec(op);
   if (spec == nullptr) return unknownOp(op);
-  const CrashCanary canary = spec->setup(device, config);
+  // One child span per step, so a profile splits campaign/cell (and
+  // CrashCk's points) into setup, the faulted op and recovery.
+  CrashCanary canary;
+  {
+    obs::Span span("campaign", "setup");
+    canary = spec->setup(device, config);
+  }
   if (!schedule.empty()) device.setFaultPlan(compileFaultSchedule(schedule, seed));
-  try {
-    spec->run(device, config);
-  } catch (const IoError&) {
-    // Tools return structured errors; this is the crash-trigger backstop.
+  {
+    obs::Span span("campaign", "op");
+    try {
+      spec->run(device, config);
+    } catch (const IoError&) {
+      // Tools return structured errors; this is the crash-trigger backstop.
+    }
   }
   device.clearFaults();  // the machine comes back up
 
   CellOutcome out;
+  obs::Span span("campaign", "recover");
   out.outcome = classifyPostCrashImage(device, canary, out.detail);
   return out;
 }
@@ -501,7 +511,10 @@ Result<CellOutcome> runCampaignCell(const GeneratedConfig& config, const std::st
                                     const FaultSchedule& schedule, std::uint64_t seed) {
   BlockDevice device = cellDevice(config);
   Result<CellOutcome> out = runCellOn(device, config, op, schedule, seed);
-  if (out.ok()) out.value().digest = imageStateDigest(device);
+  if (out.ok()) {
+    obs::Span span("campaign", "digest");
+    out.value().digest = imageStateDigest(device);
+  }
   return out;
 }
 

@@ -12,6 +12,8 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "json/json.h"
 
@@ -146,6 +148,49 @@ TEST(CliObs, Table5StdoutIsByteIdenticalUnderInstrumentation) {
   EXPECT_GT(r.find("peak_rss_kb")->asInt(), 0);
   EXPECT_GT(r.find("facts")->asObject().find("unique_deps")->asInt(), 0);
   EXPECT_TRUE(r.find("metrics")->asObject().contains("histograms"));
+}
+
+TEST(CliObs, CampaignCellSpansSplitIntoSetupOpRecoverDigest) {
+  const std::string trace = tempPath("cli_obs_campaign_trace.json");
+  runCli("campaign --configs 2 --seed 42 --trace " + trace);
+  const json::Value trace_doc = parseOrFail(slurp(trace), "trace file");
+  struct Interval {
+    std::int64_t tid, begin, end;
+  };
+  // The steps run in the matrix's cells and in the minimizer's probes.
+  std::vector<Interval> cells;
+  std::vector<Interval> minimizes;
+  std::vector<std::pair<std::string, Interval>> steps;
+  for (const json::Value& ev : trace_doc.asObject().find("traceEvents")->asArray()) {
+    const json::Object& e = ev.asObject();
+    if (e.find("cat")->asString() != "campaign" || e.find("ph")->asString() != "X") continue;
+    const std::int64_t ts = e.find("ts")->asInt();
+    const Interval span{e.find("tid")->asInt(), ts, ts + e.find("dur")->asInt()};
+    const std::string& name = e.find("name")->asString();
+    if (name == "cell") {
+      cells.push_back(span);
+    } else if (name == "minimize") {
+      minimizes.push_back(span);
+    } else if (name == "setup" || name == "op" || name == "recover" || name == "digest") {
+      steps.emplace_back(name, span);
+    }
+  }
+  ASSERT_FALSE(cells.empty());
+  const auto within = [](const std::vector<Interval>& parents, const Interval& step) {
+    return std::any_of(parents.begin(), parents.end(), [&](const Interval& parent) {
+      return parent.tid == step.tid && parent.begin <= step.begin && step.end <= parent.end;
+    });
+  };
+  std::set<std::string> nested;
+  for (const auto& [name, step] : steps) {
+    if (within(cells, step)) {
+      nested.insert(name);
+    } else {
+      EXPECT_TRUE(within(minimizes, step))
+          << "campaign/" << name << " at ts " << step.begin << " is outside every cell";
+    }
+  }
+  EXPECT_EQ(nested, (std::set<std::string>{"digest", "op", "recover", "setup"}));
 }
 
 TEST(CliObs, ProfileFlagKeepsStdoutByteIdentical) {

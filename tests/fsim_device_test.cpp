@@ -3,6 +3,9 @@
 #include "fsim/block_device.h"
 #include "fsim/image.h"
 #include "fsim/layout.h"
+#include "fsim/mkfs.h"
+#include "tools/campaign.h"
+#include "tools/confgen/confgen.h"
 
 namespace fsdep::fsim {
 namespace {
@@ -209,6 +212,106 @@ TEST(BlockDevice, ResetStatsKeepsFaults) {
   EXPECT_EQ(dev.backoffTicks(), 0u);
   // resetStats observes, clearFaults heals — they are independent.
   EXPECT_THROW(dev.writeBlock(4, buf), IoError);
+}
+
+// --- Sparse storage -------------------------------------------------
+
+TEST(BlockDevice, FreshDeviceReadsZerosAndHoldsNoBlocks) {
+  BlockDevice dev(8192, 4096);
+  EXPECT_EQ(dev.residentBlocks(), 0u);
+  std::vector<std::uint8_t> in(4096, 0xAB);
+  for (const std::uint32_t block : {0u, 1u, 4095u, 8191u}) {
+    dev.readBlock(block, in);
+    EXPECT_EQ(std::count(in.begin(), in.end(), 0), 4096) << block;
+  }
+  std::vector<std::uint8_t> bytes(3 * 4096 + 10, 0xAB);
+  dev.readBytes(4096 - 5, bytes);
+  EXPECT_EQ(std::count(bytes.begin(), bytes.end(), 0), static_cast<long>(bytes.size()));
+  EXPECT_EQ(dev.residentBlocks(), 0u);  // reads allocate nothing
+}
+
+TEST(BlockDevice, ByteRangeAcrossBlockBoundaryRoundTrips) {
+  BlockDevice dev(8, 1024);
+  std::vector<std::uint8_t> payload(1500);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  }
+  dev.writeBytes(1024 + 1000, payload);  // block 1's tail, block 2, block 3's head
+  EXPECT_EQ(dev.residentBlocks(), 3u);
+  std::vector<std::uint8_t> in(payload.size());
+  dev.readBytes(1024 + 1000, in);
+  EXPECT_EQ(in, payload);
+  std::vector<std::uint8_t> block(1024);
+  dev.readBlock(1, block);
+  EXPECT_EQ(std::count(block.begin(), block.begin() + 1000, 0), 1000);
+  EXPECT_EQ(block[1000], payload[0]);
+  dev.readBlock(3, block);
+  EXPECT_EQ(block[451], payload.back());
+  EXPECT_EQ(std::count(block.begin() + 452, block.end(), 0), 1024 - 452);
+}
+
+TEST(BlockDevice, SeededTornWriteIntoUnwrittenBlockKeepsOnlyThePrefix) {
+  BlockDevice dev(4, 1024);
+  std::vector<std::uint8_t> ones(1024, 0xFF);
+  FaultPlan plan;
+  plan.seed = 7;
+  plan.crash_at_write = 0;
+  plan.torn_mode = TornMode::Seeded;
+  dev.setFaultPlan(plan);
+  EXPECT_THROW(dev.writeBlock(2, ones), IoError);
+  dev.clearFaults();
+  std::vector<std::uint8_t> in(1024);
+  dev.readBlock(2, in);
+  const auto prefix =
+      static_cast<std::size_t>(std::find(in.begin(), in.end(), 0x00) - in.begin());
+  ASSERT_GT(prefix, 0u);  // seed 7 tears inside the block
+  ASSERT_LT(prefix, 1024u);
+  EXPECT_EQ(std::count(in.begin(), in.begin() + static_cast<long>(prefix), 0xFF),
+            static_cast<long>(prefix));
+  EXPECT_EQ(std::count(in.begin() + static_cast<long>(prefix), in.end(), 0x00),
+            static_cast<long>(1024 - prefix));
+  EXPECT_EQ(dev.writeCount(), 0u);  // the torn write did not persist as a write
+}
+
+TEST(BlockDevice, ShrinkThenGrowReadsDroppedBlocksAsZeros) {
+  BlockDevice dev(8, 1024);
+  std::vector<std::uint8_t> ones(1024, 0xFF);
+  dev.writeBlock(2, ones);
+  dev.writeBlock(6, ones);
+  EXPECT_EQ(dev.residentBlocks(), 2u);
+  dev.resize(4);
+  EXPECT_EQ(dev.residentBlocks(), 1u);
+  std::vector<std::uint8_t> in(1024);
+  EXPECT_THROW(dev.readBlock(6, in), IoError);
+  dev.resize(8);
+  dev.readBlock(6, in);
+  EXPECT_EQ(std::count(in.begin(), in.end(), 0), 1024);
+  dev.readBlock(2, in);
+  EXPECT_EQ(in, ones);
+}
+
+TEST(BlockDevice, CorruptingAnUnwrittenBlockFlipsAZero) {
+  BlockDevice dev(4, 1024);
+  dev.corruptBlock(3, 1024 + 5);  // the offset wraps within the block
+  EXPECT_EQ(dev.residentBlocks(), 1u);
+  std::vector<std::uint8_t> in(1024);
+  dev.readBlock(3, in);
+  EXPECT_EQ(in[5], 0xFF);
+  EXPECT_EQ(std::count(in.begin(), in.end(), 0), 1023);
+}
+
+TEST(BlockDevice, BaselineCellHoldsOnlyTheBlocksItWrote) {
+  // A campaign cell's device: mkfs plus the canary file under the
+  // baseline config. It holds 140 of 8192 blocks.
+  const tools::GeneratedConfig config = tools::baselineConfig();
+  BlockDevice dev = tools::cellDevice(config);
+  ASSERT_TRUE(MkfsTool::format(dev, config.mkfs).ok());
+  const tools::CrashCanary canary = tools::plantCanary(dev);
+  EXPECT_NE(canary.ino, 0u);
+  EXPECT_EQ(dev.blockCount(), 8192u);
+  EXPECT_GT(dev.residentBlocks(), 0u);
+  EXPECT_LT(dev.residentBlocks(), dev.blockCount() / 16);
+  RecordProperty("resident_blocks", static_cast<int>(dev.residentBlocks()));
 }
 
 TEST(Bitmap, SetGetCount) {

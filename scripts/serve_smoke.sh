@@ -4,7 +4,10 @@
 #   2. issue `fsdep query` requests (ping, extract, docck, blame, depgraph),
 #   3. compare every answer byte-for-byte with the one-shot CLI,
 #   4. check a warm repeat is served from the memo,
-#   5. shut the daemon down cleanly and verify the socket is gone.
+#   5. after an invalidate, interleave --inter and --intra queries (which
+#      share one parse per component and one analysis per scenario and
+#      engine) and compare each with the one-shot CLI,
+#   6. shut the daemon down cleanly and verify the socket is gone.
 # Usage: scripts/serve_smoke.sh <fsdep-binary> [workdir]
 set -eu
 
@@ -68,6 +71,27 @@ cmp "$WORK/explain.txt" "$WORK/blame.txt"
 "$FSDEP" graph --inter > "$WORK/graph.txt"
 "$FSDEP" query --socket "$SOCKET" --type depgraph --inter > "$WORK/depgraph.txt"
 cmp "$WORK/graph.txt" "$WORK/depgraph.txt"
+
+echo "== invalidate, then interleaved --inter/--intra queries match the one-shot CLI =="
+"$FSDEP" query --socket "$SOCKET" --type invalidate > /dev/null
+n=0
+for spec in "extract --scenario s2 --inter" "extract --scenario s2 --intra" \
+            "blame --param mke2fs.blocksize --intra" "blame --param mke2fs.blocksize --inter" \
+            "depgraph --intra" "extract --json --inter" "docck" "extract --json --intra"; do
+  n=$((n + 1))
+  # shellcheck disable=SC2086 # the spec is split into the command and its flags
+  set -- $spec
+  type=$1
+  shift
+  case $type in
+    blame) oneshot=explain ;;
+    depgraph) oneshot=graph ;;
+    *) oneshot=$type ;;
+  esac
+  "$FSDEP" "$oneshot" "$@" > "$WORK/mixed-$n-oneshot.txt"
+  "$FSDEP" query --socket "$SOCKET" --type "$type" "$@" > "$WORK/mixed-$n-served.txt"
+  cmp "$WORK/mixed-$n-oneshot.txt" "$WORK/mixed-$n-served.txt"
+done
 
 echo "== clean shutdown =="
 "$FSDEP" query --socket "$SOCKET" --raw '{"type":"shutdown"}' > /dev/null

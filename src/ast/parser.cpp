@@ -1,11 +1,35 @@
 #include "ast/parser.h"
 
 #include <optional>
+#include <string>
 
 namespace fsdep::ast {
 
 using lex::Token;
 using lex::TokenKind;
+
+namespace {
+
+/// Unwinds the whole parse once the nesting budget is spent.
+struct NestingExceeded {
+  SourceLoc loc;
+};
+
+}  // namespace
+
+class Parser::NestingGuard {
+ public:
+  explicit NestingGuard(Parser& parser) : parser_(parser) {
+    if (parser_.depth_ == kMaxNestingDepth) throw NestingExceeded{parser_.peek().loc};
+    ++parser_.depth_;
+  }
+  ~NestingGuard() { --parser_.depth_; }
+  NestingGuard(const NestingGuard&) = delete;
+  NestingGuard& operator=(const NestingGuard&) = delete;
+
+ private:
+  Parser& parser_;
+};
 
 Parser::Parser(std::vector<Token> tokens, DiagnosticEngine& diags)
     : tokens_(std::move(tokens)), diags_(diags) {
@@ -180,9 +204,14 @@ std::unique_ptr<TranslationUnit> Parser::parseTranslationUnit(std::string name) 
   auto tu = std::make_unique<TranslationUnit>();
   tu_ = tu.get();
   tu->name = std::move(name);
-  while (!peek().isEof()) {
-    DeclPtr decl = parseTopLevelDecl();
-    if (decl != nullptr) tu->decls.push_back(std::move(decl));
+  try {
+    while (!peek().isEof()) {
+      DeclPtr decl = parseTopLevelDecl();
+      if (decl != nullptr) tu->decls.push_back(std::move(decl));
+    }
+  } catch (const NestingExceeded& e) {
+    // The rest of the file is not parsed: one error, not one per level.
+    diags_.error(e.loc, "nesting exceeds " + std::to_string(kMaxNestingDepth));
   }
   return tu;
 }
@@ -355,6 +384,7 @@ StmtPtr Parser::parseCompoundStmt() {
 }
 
 StmtPtr Parser::parseStmt() {
+  const NestingGuard nested(*this);
   const SourceLoc loc = peek().loc;
   switch (peek().kind) {
     case TokenKind::LBrace: return parseCompoundStmt();
@@ -536,6 +566,7 @@ StmtPtr Parser::parseReturnStmt() {
 ExprPtr Parser::parseExpr() { return parseAssignment(); }
 
 ExprPtr Parser::parseAssignment() {
+  const NestingGuard nested(*this);
   ExprPtr lhs = parseConditional();
   BinaryOp op;
   switch (peek().kind) {
@@ -565,6 +596,7 @@ ExprPtr Parser::parseConditional() {
   const SourceLoc loc = advance().loc;
   ExprPtr then_expr = parseExpr();
   expect(TokenKind::Colon, "in conditional expression");
+  const NestingGuard nested(*this);
   ExprPtr else_expr = parseConditional();
   auto e = node<ConditionalExpr>(std::move(cond), std::move(then_expr), std::move(else_expr));
   e->loc = loc;
@@ -646,6 +678,7 @@ ExprPtr Parser::parseUnary() {
         }
         pos_ = save;
       }
+      const NestingGuard nested(*this);
       ExprPtr operand = parseUnary();
       auto e = node<UnaryExpr>(UnaryOp::SizeofExpr, std::move(operand));
       e->loc = loc;
@@ -660,6 +693,7 @@ ExprPtr Parser::parseUnary() {
           TypeSpec type = parseTypeSpec();
           if (check(TokenKind::RParen)) {
             advance();
+            const NestingGuard nested(*this);
             ExprPtr operand = parseUnary();
             auto e = node<CastExpr>(std::move(type), std::move(operand));
             e->loc = loc;
@@ -673,6 +707,7 @@ ExprPtr Parser::parseUnary() {
       return parsePostfix();
   }
   advance();
+  const NestingGuard nested(*this);
   ExprPtr operand = parseUnary();
   auto e = node<UnaryExpr>(op, std::move(operand));
   e->loc = loc;

@@ -3,8 +3,12 @@
 //
 // Error handling: the parser reports diagnostics and synchronizes at the
 // next ';' or '}' so one bad declaration does not abort the whole file.
+// Nesting deeper than kMaxNestingDepth is the one error that stops the
+// parse: it is reported once, as "nesting exceeds N", instead of
+// overflowing the stack.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <unordered_set>
 #include <vector>
@@ -14,6 +18,13 @@
 #include "support/diagnostics.h"
 
 namespace fsdep::ast {
+
+/// Deepest nesting of statements and expressions the parser accepts:
+/// each nested statement, parenthesized or bracketed expression, call
+/// argument, initializer, unary operand, cast, assignment right-hand
+/// side and chained conditional is one level. Later passes over the AST
+/// (sema, CFG, IR lowering, taint) recurse on it and rely on this bound.
+inline constexpr std::size_t kMaxNestingDepth = 256;
 
 class Parser {
  public:
@@ -64,6 +75,10 @@ class Parser {
   ExprPtr parsePostfix();
   ExprPtr parsePrimary();
 
+  /// One nesting level for its lifetime; throws past kMaxNestingDepth
+  /// (parseTranslationUnit reports it).
+  class NestingGuard;
+
   /// Allocates a node in the arena of the unit being parsed.
   template <typename T, typename... Args>
   NodePtr<T> node(Args&&... args) {
@@ -76,6 +91,7 @@ class Parser {
   std::unordered_set<std::string> typedef_names_;
   lex::Token eof_;
   TranslationUnit* tu_ = nullptr;  ///< unit under construction (node arena)
+  std::size_t depth_ = 0;          ///< current nesting level
 };
 
 }  // namespace fsdep::ast

@@ -12,8 +12,7 @@
 
 namespace fsdep::corpus {
 
-std::shared_ptr<const ComponentEntry> ComponentCache::build(
-    const std::string& name, const taint::AnalysisOptions& options) {
+std::shared_ptr<const ComponentEntry> ComponentCache::build(const std::string& name) {
   obs::Span span("pipeline", "parse");
   span.arg("component", name);
   const auto start = std::chrono::steady_clock::now();
@@ -21,7 +20,6 @@ std::shared_ptr<const ComponentEntry> ComponentCache::build(
   auto entry = std::make_shared<ComponentEntry>();
   entry->name = name;
   entry->is_kernel = isKernelComponent(name);
-  entry->options = options;
 
   const std::string_view source = componentSource(name);
   if (source.empty()) throw std::runtime_error("unknown corpus component: " + name);
@@ -56,8 +54,8 @@ std::shared_ptr<const ComponentEntry> ComponentCache::build(
   return entry;
 }
 
-std::shared_ptr<const ComponentEntry> ComponentCache::get(
-    const std::string& name, const taint::AnalysisOptions& options, bool* built) {
+std::shared_ptr<const ComponentEntry> ComponentCache::get(const std::string& name,
+                                                          bool* built) {
   static obs::Counter& hit_counter = obs::Registry::global().counter("cache.hits");
   static obs::Counter& miss_counter = obs::Registry::global().counter("cache.misses");
   static obs::Counter& wait_counter = obs::Registry::global().counter("cache.waits");
@@ -74,23 +72,22 @@ std::shared_ptr<const ComponentEntry> ComponentCache::get(
     const std::lock_guard<std::mutex> lock(mu_);
     const bool enabled = enabled_.load(std::memory_order_relaxed);
     const auto it = slots_.find(name);
-    if (enabled && it != slots_.end() && it->second.options == options) {
+    if (enabled && it != slots_.end()) {
       hits_.fetch_add(1, std::memory_order_relaxed);
       is_hit = true;
       future = it->second.future;
     } else {
-      // First request, options mismatch, or caching disabled: (re)build.
-      // Prior waiters keep their shared_future; this slot now serves
-      // the new build. The ticket identifies it so failure eviction and
-      // clear() can't remove someone else's slot. With caching disabled
-      // the build stays private — existing entries are left untouched
-      // for when the cache is re-enabled (ticket 0 never matches a
-      // slot, so the failure path leaves the map alone too).
+      // First request or caching disabled: build. The ticket identifies
+      // the slot so failure eviction and clear() can't remove someone
+      // else's. With caching disabled the build stays private — existing
+      // entries are left untouched for when the cache is re-enabled
+      // (ticket 0 never matches a slot, so the failure path leaves the
+      // map alone too).
       misses_.fetch_add(1, std::memory_order_relaxed);
       future = promise.get_future().share();
       if (enabled) {
         ticket = next_ticket_++;
-        slots_[name] = Slot{options, future, ticket};
+        slots_[name] = Slot{future, ticket};
       }
       is_builder = true;
       builder = builder_override_;
@@ -116,7 +113,7 @@ std::shared_ptr<const ComponentEntry> ComponentCache::get(
       obs::Trace::instant("cache", "cache-miss", std::move(args));
     }
     try {
-      promise.set_value(builder ? builder(name, options) : build(name, options));
+      promise.set_value(builder ? builder(name) : build(name));
     } catch (...) {
       // A failed build must not poison the slot: waiters that already
       // hold the shared_future see this exception once, but the slot is

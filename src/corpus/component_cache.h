@@ -7,10 +7,10 @@
 //
 // Concurrency: the first requester of a component parses it; concurrent
 // requesters block on a shared future and get the same entry (one parse,
-// N consumers). Entries are keyed by component name and remember the
-// AnalysisOptions they were built under — a request with different
-// options invalidates the entry and rebuilds, so ablation runs never
-// accidentally share state with default-option runs.
+// N consumers). Entries are keyed by component name alone: nothing in an
+// entry depends on AnalysisOptions (the Taint-IR is lowered without
+// them; only the per-consumer Analyzer reads them), so inter, intra and
+// ablation runs share one parse.
 //
 // Failure semantics: a builder failure is NOT cached. The failing slot
 // is evicted as the builder publishes the exception, so requesters that
@@ -45,7 +45,6 @@ namespace fsdep::corpus {
 struct ComponentEntry {
   std::string name;
   bool is_kernel = false;
-  taint::AnalysisOptions options;  ///< options this entry was built under
   SourceManager sm;
   DiagnosticEngine diags;
   std::unique_ptr<ast::TranslationUnit> tu;
@@ -62,20 +61,16 @@ struct ComponentEntry {
 class ComponentCache {
  public:
   /// Returns the shared entry for `name`, parsing it first if this is
-  /// the first request (or the cached entry was built under different
-  /// AnalysisOptions). Throws std::runtime_error for unknown components
+  /// the first request. Throws std::runtime_error for unknown components
   /// or corpus frontend bugs; the failed slot is evicted so a later
   /// call retries instead of rethrowing a stale error forever. `built`
   /// (optional) is set to true when this call did the parse, false when
   /// it reused or waited on one.
-  std::shared_ptr<const ComponentEntry> get(const std::string& name,
-                                            const taint::AnalysisOptions& options,
-                                            bool* built = nullptr);
+  std::shared_ptr<const ComponentEntry> get(const std::string& name, bool* built = nullptr);
 
   /// Parses a component without touching any cache (the seed's
   /// per-scenario behavior; benchmarks use this as the baseline).
-  static std::shared_ptr<const ComponentEntry> build(const std::string& name,
-                                                     const taint::AnalysisOptions& options);
+  static std::shared_ptr<const ComponentEntry> build(const std::string& name);
 
   /// Per-instance cache traffic. get() also mirrors these into the obs
   /// metrics registry ("cache.hits"/"cache.misses"/"cache.waits"/
@@ -104,8 +99,7 @@ class ComponentCache {
   /// Test hook: replaces build() for this instance (e.g. a transient-
   /// failure source). Pass nullptr to restore the real builder. Not for
   /// production use.
-  using Builder = std::function<std::shared_ptr<const ComponentEntry>(
-      const std::string&, const taint::AnalysisOptions&)>;
+  using Builder = std::function<std::shared_ptr<const ComponentEntry>(const std::string&)>;
   void setBuilderForTesting(Builder builder);
 
   /// Process-wide cache used by AnalyzedComponent and the pipeline.
@@ -113,7 +107,6 @@ class ComponentCache {
 
  private:
   struct Slot {
-    taint::AnalysisOptions options;
     std::shared_future<std::shared_ptr<const ComponentEntry>> future;
     /// Monotonic id of the build occupying this slot. The builder
     /// carries its ticket; eviction (on failure) only removes the slot

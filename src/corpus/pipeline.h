@@ -9,8 +9,13 @@
 // so serial and parallel runs produce byte-identical output.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <exception>
+#include <future>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -73,6 +78,78 @@ struct Table5Result {
   std::vector<model::Dependency> unique_deps;
 };
 
+/// Scenario results held in memory, in front of the DiskCache and under
+/// the same key (scenarioCacheKey), so the two tiers share one identity.
+/// The serve daemon owns one per cache generation: every served command
+/// that needs a scenario's dependencies reads them from here, and only
+/// the first request for a key runs the analysis.
+///
+/// Concurrency: the first claim of a key builds it; concurrent claims
+/// wait on its shared future (one analysis, N consumers). A caller that
+/// holds several claims (runTable5) must publish every claim it builds
+/// before it waits on any other, so two callers can never wait on each
+/// other. A failed build is never cached: its slot is evicted as the
+/// failure is published, the waiters it already has see the error once,
+/// and the next claim builds again. Slots are ticketed, as in
+/// ComponentCache, so an eviction never removes a slot that clear() and
+/// a newer build have replaced.
+class ScenarioMemo {
+ public:
+  using Deps = std::vector<model::Dependency>;
+
+  /// One caller's hold on a key: a builder's, which must publish() (or
+  /// fail()) the result, or a waiter's. A builder's claim destroyed
+  /// unpublished fails its waiters and evicts the slot.
+  class Claim {
+   public:
+    Claim(Claim&& other) noexcept;
+    Claim& operator=(Claim&&) = delete;
+    ~Claim();
+
+    /// True until a builder's claim has published or failed.
+    [[nodiscard]] bool builder() const { return memo_ != nullptr; }
+    void publish(Deps deps);
+    /// No-op unless this claim is an unpublished builder.
+    void fail(std::exception_ptr error);
+    /// The result: blocks while another caller builds it and rethrows
+    /// that build's failure.
+    [[nodiscard]] Deps get() const { return *future_.get(); }
+
+   private:
+    friend class ScenarioMemo;
+    Claim() = default;
+
+    ScenarioMemo* memo_ = nullptr;  ///< set while a builder must still publish
+    std::string key_;
+    std::uint64_t ticket_ = 0;
+    std::promise<std::shared_ptr<const Deps>> promise_;
+    std::shared_future<std::shared_ptr<const Deps>> future_;
+  };
+
+  [[nodiscard]] Claim claim(const CacheKey& key);
+  /// Drops every result (outstanding claims stay valid; an in-flight
+  /// build still answers its own waiters).
+  void clear();
+
+  [[nodiscard]] std::uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
+  [[nodiscard]] std::uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
+  [[nodiscard]] std::size_t size() const;
+
+ private:
+  struct Slot {
+    std::shared_future<std::shared_ptr<const Deps>> future;
+    std::uint64_t ticket = 0;
+  };
+
+  void evict(const std::string& key, std::uint64_t ticket);
+
+  mutable std::mutex mu_;
+  std::map<std::string, Slot> slots_;
+  std::uint64_t next_ticket_ = 1;
+  std::atomic<std::uint64_t> hits_{0};
+  std::atomic<std::uint64_t> misses_{0};
+};
+
 /// Pipeline execution knobs (orthogonal to what is analyzed).
 struct PipelineOptions {
   /// Worker count for independent (scenario x component) analyses.
@@ -88,6 +165,10 @@ struct PipelineOptions {
   /// selections, analysis/extract options) are unchanged load from disk
   /// and skip parse+sema+taint+extract entirely.
   bool use_disk_cache = true;
+  /// Non-owning. When set, scenario results are read from and published
+  /// to this memo before the disk cache is probed (the serve daemon's
+  /// per-generation tier). Null runs the full pipeline.
+  ScenarioMemo* memo = nullptr;
 };
 
 /// Content-hashed identity of one scenario run: scenario id, every

@@ -146,18 +146,23 @@ Profile buildProfile(const std::vector<TraceEvent>& events, double wall_ms,
 
   struct Open {
     std::uint64_t end_us;
+    std::uint64_t last_seq;
     std::size_t node;
   };
   for (const std::uint32_t tid : tids) {
     std::vector<std::size_t>& order = by_tid[tid];
-    // RAII spans are buffered in END order, so a parent follows its
-    // children. Parent-before-child needs (ts asc, dur desc), with the
-    // later buffer position winning ties (zero-duration parent/child
-    // pairs share ts and dur).
+    // Parents must come before their children. Spans carry their
+    // thread's begin order (seq), which is exactly that, ties in the same
+    // microsecond included. Events without one keep (ts asc, dur desc),
+    // with the later buffer position winning ties: RAII spans are
+    // buffered in END order, so a zero-duration parent follows its
+    // zero-duration child.
     std::stable_sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
       const TraceEvent& ea = events[a];
       const TraceEvent& eb = events[b];
       if (ea.ts_us != eb.ts_us) return ea.ts_us < eb.ts_us;
+      if ((ea.seq != 0) != (eb.seq != 0)) return ea.seq == 0;
+      if (ea.seq != eb.seq) return ea.seq < eb.seq;
       if (ea.dur_us != eb.dur_us) return ea.dur_us > eb.dur_us;
       return a > b;
     });
@@ -165,7 +170,14 @@ Profile buildProfile(const std::vector<TraceEvent>& events, double wall_ms,
     for (const std::size_t i : order) {
       const TraceEvent& e = events[i];
       const std::uint64_t end_us = e.ts_us + e.dur_us;
-      while (!stack.empty() && end_us > stack.back().end_us) stack.pop_back();
+      // Pop what ended before e: by time, or — for two spans — because e
+      // began after the open one ended (sequential siblings sharing a
+      // microsecond stay siblings).
+      while (!stack.empty() &&
+             (end_us > stack.back().end_us ||
+              (e.seq != 0 && stack.back().last_seq != 0 && e.seq > stack.back().last_seq))) {
+        stack.pop_back();
+      }
       const std::size_t parent = stack.empty() ? 0 : stack.back().node;
       const std::size_t node = childNode(p, b, parent, e);
       ProfileNode& n = p.nodes[node];
@@ -177,7 +189,7 @@ Profile buildProfile(const std::vector<TraceEvent>& events, double wall_ms,
       b.child_us[parent] += e.dur_us;
       p.event_count += 1;
       if (parent == 0) p.attributed_us += e.dur_us;
-      stack.push_back({end_us, node});
+      stack.push_back({end_us, e.last_seq, node});
     }
   }
 

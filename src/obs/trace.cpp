@@ -54,6 +54,12 @@ ThreadBuffer& localBuffer() {
   return *buffer;
 }
 
+/// The calling thread's latest Span begin sequence number.
+std::uint64_t& threadSeq() {
+  thread_local std::uint64_t seq = 0;
+  return seq;
+}
+
 std::vector<TraceEvent> drainEvents(bool clear) {
   std::vector<TraceEvent> all;
   TraceState& s = state();
@@ -194,6 +200,7 @@ void Span::begin(const char* category, const char* name) {
   category_ = category;
   name_ = name;
   start_us_ = Trace::nowMicros();
+  seq_ = ++threadSeq();
   active_ = true;
 }
 
@@ -212,6 +219,8 @@ void Span::end() {
   e.ts_us = start_us_;
   const std::uint64_t now = Trace::nowMicros();
   e.dur_us = now >= start_us_ ? now - start_us_ : 0;
+  e.seq = seq_;
+  e.last_seq = threadSeq();
   e.args_json = std::move(args_json_);
   e.group = std::move(group_);
   Trace::emit(std::move(e));

@@ -41,6 +41,13 @@ struct TraceEvent {
   std::uint64_t ts_us = 0;   ///< microseconds since Trace::start()
   std::uint64_t dur_us = 0;  ///< Complete events only
   std::uint32_t tid = 0;
+  /// A Span's place in its thread's begin order (1, 2, ...), and the
+  /// latest place handed out on that thread when it ended: the spans of
+  /// the thread with seq in (seq, last_seq] began inside this one. They
+  /// order spans that share a microsecond, which (ts, dur) cannot. 0 for
+  /// events not recorded by a Span.
+  std::uint64_t seq = 0;
+  std::uint64_t last_seq = 0;
   /// Pre-escaped JSON object fragment ("" = no args), e.g.
   /// "\"component\":\"mke2fs\",\"scenario\":\"s1\"".
   std::string args_json;
@@ -155,6 +162,7 @@ class Span {
   std::string args_json_;
   std::string group_;
   std::uint64_t start_us_ = 0;
+  std::uint64_t seq_ = 0;
   bool active_ = false;
 };
 

@@ -83,6 +83,13 @@ taint::AnalysisOptions taintOptions(const Request& request) {
   return options;
 }
 
+corpus::PipelineOptions pipelineOptions(const Request& request) {
+  corpus::PipelineOptions pipeline;
+  pipeline.jobs = request.jobs;
+  pipeline.memo = request.memo;
+  return pipeline;
+}
+
 CommandResult failure(int exit_code, std::string error) {
   return {{}, exit_code, std::move(error)};
 }
@@ -127,7 +134,7 @@ CommandResult cmdExtract(const Request& request) {
   eopts.enable_bridging = !request.has("no-bridging");
   topts.field_bridging = eopts.enable_bridging;
   const std::string scenario_id = request.string("scenario", "all");
-  const corpus::PipelineOptions pipeline{request.jobs};
+  const corpus::PipelineOptions pipeline = pipelineOptions(request);
 
   std::vector<model::Dependency> deps;
   if (scenario_id == "all") {
@@ -155,7 +162,7 @@ CommandResult cmdExtract(const Request& request) {
 
 CommandResult cmdTable5(const Request& request) {
   const corpus::Table5Result result =
-      corpus::runTable5(taintOptions(request), nullptr, {request.jobs});
+      corpus::runTable5(taintOptions(request), nullptr, pipelineOptions(request));
   obs::RunReport::global().note("unique_deps", result.unique_deps.size());
   return {corpus::formatTable5(result)};
 }
@@ -322,9 +329,9 @@ CommandResult cmdAmplify(const Request& request) {
   return result;
 }
 
-CommandResult cmdDocCk(const Request&) {
+CommandResult cmdDocCk(const Request& request) {
   noteEngine({});  // the checkers extract with the default engine
-  const DocCheckReport report = runCorpusDocCheck();
+  const DocCheckReport report = runCorpusDocCheck(pipelineOptions(request));
   CommandResult result{report.summary() + "\n"};
   for (const DocIssue& issue : report.issues) {
     appendf(result.out, "  [%s] %s\n", docIssueKindName(issue.kind),
@@ -588,7 +595,7 @@ CommandResult cmdQuery(const Request& request) {
 CommandResult cmdXfs(const Request& request) {
   const extract::ExtractOptions options = corpus::xfsExtractOptions();
   const auto deps = corpus::runScenario(corpus::xfsScenario(), taintOptions(request), &options,
-                                        {request.jobs});
+                                        pipelineOptions(request));
   return {request.has("json") ? depsJson(deps)
                               : depsText(deps, "dependencies extracted from the XFS ecosystem")};
 }
@@ -625,7 +632,7 @@ CommandResult cmdExplain(const Request& request) {
   const std::string param = request.string("param");
   if (param.empty()) return failure(2, "explain: which parameter? (e.g. mke2fs.sparse_super2)");
   const corpus::Table5Result table5 =
-      corpus::runTable5(taintOptions(request), nullptr, {request.jobs});
+      corpus::runTable5(taintOptions(request), nullptr, pipelineOptions(request));
   CommandResult result;
   std::string& out = result.out;
   if (const model::Parameter* registered = corpus::ecosystem().findParameter(param)) {
@@ -655,7 +662,7 @@ CommandResult cmdExplain(const Request& request) {
 
 CommandResult cmdGraph(const Request& request) {
   const corpus::Table5Result table5 =
-      corpus::runTable5(taintOptions(request), nullptr, {request.jobs});
+      corpus::runTable5(taintOptions(request), nullptr, pipelineOptions(request));
   GraphOptions options;
   options.include_self_deps = request.has("self-deps");
   return {renderDependencyGraphDot(table5.unique_deps, options)};

@@ -21,6 +21,10 @@ namespace fsdep::obs {
 class Counter;
 }
 
+namespace fsdep::corpus {
+class ScenarioMemo;
+}
+
 namespace fsdep::tools {
 
 enum class FlagKind { Bool, String, Count, List };  ///< List: a repeatable String
@@ -83,6 +87,9 @@ class Request {
 
   /// Pipeline workers (0 = the global setting); not part of canonical().
   std::size_t jobs = 0;
+  /// The serve daemon's scenario-result memo (null: run the full
+  /// pipeline); not part of canonical().
+  corpus::ScenarioMemo* memo = nullptr;
 
  private:
   friend Result<Request> parseArgv(const Command& command, const std::vector<std::string>& args);

@@ -102,9 +102,9 @@ DocCheckReport checkDocumentation(const std::vector<Dependency>& code_deps,
   return report;
 }
 
-DocCheckReport runCorpusDocCheck() {
+DocCheckReport runCorpusDocCheck(const corpus::PipelineOptions& pipeline) {
   obs::Span span("condocck", "doc-check");
-  const corpus::Table5Result result = corpus::runTable5();
+  const corpus::Table5Result result = corpus::runTable5({}, nullptr, pipeline);
 
   // Keep only the true dependencies (drop scored false positives), as the
   // paper does before the documentation check.

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "corpus/corpus.h"
+#include "corpus/pipeline.h"
 #include "model/dependency.h"
 
 namespace fsdep::tools {
@@ -44,7 +45,8 @@ DocCheckReport checkDocumentation(const std::vector<model::Dependency>& code_dep
 
 /// Convenience: runs the corpus pipeline, filters to true dependencies
 /// (the paper's "59 extracted true dependencies"), and checks them
-/// against the embedded manuals.
-DocCheckReport runCorpusDocCheck();
+/// against the embedded manuals. `pipeline` carries the caller's
+/// worker count and, in the serve daemon, its scenario-result memo.
+DocCheckReport runCorpusDocCheck(const corpus::PipelineOptions& pipeline = {});
 
 }  // namespace fsdep::tools

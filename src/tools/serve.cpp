@@ -251,6 +251,8 @@ void ServeDaemon::dispatch(const std::string& type, const json::Object& request,
     json::Object stats;
     stats["requests"] = requests_.load(std::memory_order_relaxed);
     stats["memo_hits"] = memo_hits_.load(std::memory_order_relaxed);
+    stats["analysis_memo_hits"] = analysis_memo_.hits();
+    stats["analysis_memo_misses"] = analysis_memo_.misses();
     stats["errors"] = errors_.load(std::memory_order_relaxed);
     stats["component_cache_hits"] = corpus::ComponentCache::global().hits();
     stats["component_cache_misses"] = corpus::ComponentCache::global().misses();
@@ -269,6 +271,7 @@ void ServeDaemon::dispatch(const std::string& type, const json::Object& request,
       const std::lock_guard<std::mutex> lock(memo_mu_);
       memo_.clear();
     }
+    analysis_memo_.clear();
     corpus::ComponentCache::global().clear();
     corpus::DiskCache::global().invalidateAll();
     out["ok"] = true;
@@ -304,6 +307,7 @@ void ServeDaemon::dispatch(const std::string& type, const json::Object& request,
   }
 
   parsed.value().jobs = options_.jobs;
+  parsed.value().memo = &analysis_memo_;
   CommandResult result = command->run(parsed.value());
   if (result.exit_code != 0) {
     out["ok"] = false;

@@ -1,5 +1,6 @@
 // fsdep serve — a long-running analysis daemon. One process keeps the
-// ComponentCache, the DiskCache and a response memo warm across queries.
+// ComponentCache, the DiskCache, a scenario-result memo and a response
+// memo warm across queries.
 //
 // Protocol: newline-delimited JSON over a local Unix stream socket, one
 // response line per request line, any number per connection:
@@ -30,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "corpus/pipeline.h"
 #include "json/json.h"
 #include "support/result.h"
 
@@ -105,9 +107,12 @@ class ServeDaemon {
 
   /// Response memo: canonical request -> stdout payload. Serving a warm
   /// query is a map lookup; `invalidate` clears it together with the
-  /// component + disk caches.
+  /// analysis memo and the component + disk caches.
   std::mutex memo_mu_;
   std::map<std::string, std::string> memo_;
+  /// Analysis memo: scenario results of this cache generation, shared by
+  /// every served command (blame on twenty parameters runs Table 5 once).
+  corpus::ScenarioMemo analysis_memo_;
 
   std::mutex shutdown_mu_;
   std::condition_variable shutdown_cv_;

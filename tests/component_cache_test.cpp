@@ -1,5 +1,5 @@
 // ComponentCache behavior: parse-once semantics, concurrent first
-// access, AnalysisOptions-keyed invalidation, error propagation —
+// access, one entry shared by every option set, error propagation —
 // including the failure-poisoning regression (a failed build must be
 // retried, not cached forever) and clear()-during-build safety.
 #include "corpus/component_cache.h"
@@ -15,15 +15,16 @@
 #include <vector>
 
 #include "corpus/pipeline.h"
+#include "json/json.h"
+#include "model/serialization.h"
 
 namespace fsdep::corpus {
 namespace {
 
 TEST(ComponentCache, ColdMissThenWarmHitsShareOneEntry) {
   ComponentCache cache;
-  const taint::AnalysisOptions options;
 
-  const auto first = cache.get("mke2fs", options);
+  const auto first = cache.get("mke2fs");
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 0u);
   ASSERT_NE(first, nullptr);
@@ -32,7 +33,7 @@ TEST(ComponentCache, ColdMissThenWarmHitsShareOneEntry) {
   ASSERT_NE(first->sema, nullptr);
   EXPECT_FALSE(first->seeds.empty());
 
-  const auto second = cache.get("mke2fs", options);
+  const auto second = cache.get("mke2fs");
   EXPECT_EQ(cache.misses(), 1u);
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(first.get(), second.get()) << "warm hit must reuse the parsed entry";
@@ -41,7 +42,6 @@ TEST(ComponentCache, ColdMissThenWarmHitsShareOneEntry) {
 
 TEST(ComponentCache, ConcurrentFirstAccessParsesExactlyOnce) {
   ComponentCache cache;
-  const taint::AnalysisOptions options;
   constexpr int kThreads = 8;
 
   std::vector<std::shared_ptr<const ComponentEntry>> entries(kThreads);
@@ -49,8 +49,8 @@ TEST(ComponentCache, ConcurrentFirstAccessParsesExactlyOnce) {
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&cache, &options, &entries, t] {
-        entries[static_cast<std::size_t>(t)] = cache.get("resize2fs", options);
+      threads.emplace_back([&cache, &entries, t] {
+        entries[static_cast<std::size_t>(t)] = cache.get("resize2fs");
       });
     }
     for (std::thread& t : threads) t.join();
@@ -64,35 +64,62 @@ TEST(ComponentCache, ConcurrentFirstAccessParsesExactlyOnce) {
   }
 }
 
-TEST(ComponentCache, DifferentOptionsInvalidateTheEntry) {
-  ComponentCache cache;
-  taint::AnalysisOptions intra;
-  taint::AnalysisOptions inter;
-  inter.inter_procedural = true;
+// Nothing in an entry depends on AnalysisOptions, so intra, inter and
+// no-bridging runs share one parse per component — and each option
+// set's Table 5 and `extract --json` stay byte-equal to a run that
+// parses every component fresh (the CLI's --no-cache).
+TEST(ComponentCache, IntraInterAndNoBridgingShareOneEntry) {
+  struct OptionSet {
+    const char* name;
+    taint::AnalysisOptions taint;
+    extract::ExtractOptions extract;
+  };
+  std::vector<OptionSet> sets(3, OptionSet{"", {}, extractOptions()});
+  sets[0].name = "intra";
+  sets[1].name = "inter";
+  sets[1].taint.inter_procedural = true;
+  sets[2].name = "no-bridging";
+  sets[2].taint.field_bridging = false;
+  sets[2].extract.enable_bridging = false;
 
-  const auto a = cache.get("mount", intra);
-  const auto b = cache.get("mount", inter);  // options mismatch: rebuild
-  EXPECT_EQ(cache.misses(), 2u);
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_NE(a.get(), b.get());
-  EXPECT_EQ(cache.size(), 1u) << "one slot per component, keyed by name";
+  const auto render = [](const OptionSet& set, const PipelineOptions& pipeline) {
+    std::string out = formatTable5(runTable5(set.taint, &set.extract, pipeline));
+    std::vector<std::vector<model::Dependency>> per_scenario;
+    for (const Scenario& scenario : scenarios()) {
+      per_scenario.push_back(runScenario(scenario, set.taint, &set.extract, pipeline));
+    }
+    return out + json::writePretty(model::toJson(extract::dedupeAcrossScenarios(per_scenario)));
+  };
 
-  // The slot now serves the new options; the old shared_ptr stays valid.
-  const auto c = cache.get("mount", inter);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(b.get(), c.get());
-  EXPECT_EQ(a->name, "mount");
+  ComponentCache& cache = ComponentCache::global();
+  cache.clear();
+  const std::uint64_t misses_before = cache.misses();
+  std::vector<std::string> cached_runs;
+  for (const OptionSet& set : sets) {
+    cached_runs.push_back(render(set, {.use_disk_cache = false}));
+  }
+  EXPECT_EQ(cache.misses() - misses_before, cache.size())
+      << "every component is parsed once across all three option sets";
+  EXPECT_EQ(cache.size(), 6u);
+  const auto entry = cache.get("mount");
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(cache.get("mount").get(), entry.get()) << "one slot, one entry";
+  }
+
+  for (std::size_t i = 0; i < sets.size(); ++i) {
+    EXPECT_EQ(cached_runs[i], render(sets[i], {.use_cache = false, .use_disk_cache = false}))
+        << sets[i].name;
+  }
 }
 
 TEST(ComponentCache, UnknownComponentFailureIsNeverCached) {
   ComponentCache cache;
-  const taint::AnalysisOptions options;
-  EXPECT_THROW(cache.get("no-such-component", options), std::runtime_error);
+  EXPECT_THROW(cache.get("no-such-component"), std::runtime_error);
   EXPECT_EQ(cache.buildFailures(), 1u);
   EXPECT_EQ(cache.size(), 0u) << "the failed slot must be evicted";
   // The next request must retry the build (another miss + failure), not
   // rethrow a poisoned future as a hit.
-  EXPECT_THROW(cache.get("no-such-component", options), std::runtime_error);
+  EXPECT_THROW(cache.get("no-such-component"), std::runtime_error);
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_EQ(cache.hits(), 0u);
   EXPECT_EQ(cache.buildFailures(), 2u);
@@ -100,27 +127,26 @@ TEST(ComponentCache, UnknownComponentFailureIsNeverCached) {
 
 // The headline regression: a transient builder failure (fault-injected
 // source, OOM, ...) used to poison the slot — every later get() for the
-// same (name, options) rethrew the first exception forever. This test
+// same component rethrew the first exception forever. This test
 // fails on the old ComponentCache and passes with failure eviction.
 TEST(ComponentCache, TransientBuilderFailureRetriesAndSucceeds) {
   ComponentCache cache;
-  const taint::AnalysisOptions options;
   std::atomic<int> calls{0};
   cache.setBuilderForTesting(
-      [&calls](const std::string& name, const taint::AnalysisOptions& opts) {
+      [&calls](const std::string& name) {
         if (calls.fetch_add(1) == 0) throw std::runtime_error("transient source failure");
-        return ComponentCache::build(name, opts);
+        return ComponentCache::build(name);
       });
 
-  EXPECT_THROW(cache.get("mke2fs", options), std::runtime_error);
+  EXPECT_THROW(cache.get("mke2fs"), std::runtime_error);
   EXPECT_EQ(cache.buildFailures(), 1u);
 
-  const auto entry = cache.get("mke2fs", options);
+  const auto entry = cache.get("mke2fs");
   ASSERT_NE(entry, nullptr) << "second request must retry, not rethrow the cached failure";
   EXPECT_EQ(entry->name, "mke2fs");
   EXPECT_EQ(calls.load(), 2);
 
-  const auto again = cache.get("mke2fs", options);
+  const auto again = cache.get("mke2fs");
   EXPECT_EQ(entry.get(), again.get()) << "the successful retry is cached normally";
   EXPECT_EQ(cache.hits(), 1u);
 }
@@ -130,17 +156,16 @@ TEST(ComponentCache, TransientBuilderFailureRetriesAndSucceeds) {
 // succeeds. Run under TSan via check_sanitize.sh.
 TEST(ComponentCache, WaitersDuringFailedBuildSeeErrorThenRetrySucceeds) {
   ComponentCache cache;
-  const taint::AnalysisOptions options;
   std::atomic<int> calls{0};
   std::promise<void> release_promise;
   std::shared_future<void> release = release_promise.get_future().share();
   cache.setBuilderForTesting(
-      [&](const std::string& name, const taint::AnalysisOptions& opts) {
+      [&](const std::string& name) {
         if (calls.fetch_add(1) == 0) {
           release.wait();  // hold the waiters on the shared_future
           throw std::runtime_error("transient source failure");
         }
-        return ComponentCache::build(name, opts);
+        return ComponentCache::build(name);
       });
 
   constexpr int kThreads = 8;
@@ -151,7 +176,7 @@ TEST(ComponentCache, WaitersDuringFailedBuildSeeErrorThenRetrySucceeds) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
       try {
-        if (cache.get("mount", options) != nullptr) successes.fetch_add(1);
+        if (cache.get("mount") != nullptr) successes.fetch_add(1);
       } catch (const std::runtime_error&) {
         errors.fetch_add(1);
       }
@@ -165,26 +190,25 @@ TEST(ComponentCache, WaitersDuringFailedBuildSeeErrorThenRetrySucceeds) {
   EXPECT_EQ(errors.load() + successes.load(), kThreads);
   EXPECT_EQ(cache.buildFailures(), 1u);
 
-  const auto entry = cache.get("mount", options);
+  const auto entry = cache.get("mount");
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(entry->name, "mount");
 }
 
 TEST(ComponentCache, ClearDuringInFlightBuildIsSafe) {
   ComponentCache cache;
-  const taint::AnalysisOptions options;
   std::promise<void> started_promise;
   std::promise<void> release_promise;
   std::shared_future<void> release = release_promise.get_future().share();
   cache.setBuilderForTesting(
-      [&](const std::string& name, const taint::AnalysisOptions& opts) {
+      [&](const std::string& name) {
         started_promise.set_value();
         release.wait();
-        return ComponentCache::build(name, opts);
+        return ComponentCache::build(name);
       });
 
   std::thread builder([&] {
-    const auto entry = cache.get("ext4", options);
+    const auto entry = cache.get("ext4");
     EXPECT_NE(entry, nullptr) << "the in-flight build still completes for its waiters";
   });
   started_promise.get_future().wait();
@@ -196,52 +220,50 @@ TEST(ComponentCache, ClearDuringInFlightBuildIsSafe) {
   // must not resurrect or corrupt the cleared map.
   EXPECT_EQ(cache.size(), 0u);
   cache.setBuilderForTesting(nullptr);
-  const auto entry = cache.get("ext4", options);
+  const auto entry = cache.get("ext4");
   ASSERT_NE(entry, nullptr);
   EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(ComponentCache, DisabledCacheBuildsFreshAndPreservesEntries) {
   ComponentCache cache;
-  const taint::AnalysisOptions options;
-  const auto cached_entry = cache.get("mke2fs", options);
+  const auto cached_entry = cache.get("mke2fs");
 
   cache.setEnabled(false);
-  const auto fresh = cache.get("mke2fs", options);
+  const auto fresh = cache.get("mke2fs");
   EXPECT_NE(cached_entry.get(), fresh.get()) << "disabled cache must parse fresh";
   EXPECT_EQ(cache.size(), 1u) << "existing entries are kept, not clobbered";
   EXPECT_EQ(cache.misses(), 2u);
 
   cache.setEnabled(true);
-  const auto warm = cache.get("mke2fs", options);
+  const auto warm = cache.get("mke2fs");
   EXPECT_EQ(cached_entry.get(), warm.get()) << "re-enabling serves the original entry";
 }
 
 TEST(ComponentCache, ClearDropsEntriesButKeepsOutstandingPointersValid) {
   ComponentCache cache;
-  const taint::AnalysisOptions options;
-  const auto entry = cache.get("e2fsck", options);
+  const auto entry = cache.get("e2fsck");
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(entry->name, "e2fsck");  // shared_ptr still owns the entry
-  const auto again = cache.get("e2fsck", options);
+  const auto again = cache.get("e2fsck");
   EXPECT_EQ(cache.misses(), 2u);
   EXPECT_NE(entry.get(), again.get());
 }
 
 TEST(ComponentCache, BuildBypassesCaching) {
-  const taint::AnalysisOptions options;
-  const auto a = ComponentCache::build("mke2fs", options);
-  const auto b = ComponentCache::build("mke2fs", options);
+  const auto a = ComponentCache::build("mke2fs");
+  const auto b = ComponentCache::build("mke2fs");
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   EXPECT_NE(a.get(), b.get()) << "build() must parse fresh every time";
 }
 
 TEST(ComponentCache, AnalyzedComponentsShareTheGlobalEntry) {
-  const taint::AnalysisOptions options;
-  AnalyzedComponent first("mke2fs", options);
-  AnalyzedComponent second("mke2fs", options);
+  taint::AnalysisOptions inter;
+  inter.inter_procedural = true;
+  AnalyzedComponent first("mke2fs", taint::AnalysisOptions{});
+  AnalyzedComponent second("mke2fs", inter);
   EXPECT_EQ(&first.tu(), &second.tu()) << "same shared TU from the global cache";
   EXPECT_NE(&first.analyzer(), &second.analyzer()) << "analyzers stay per-instance";
 }

@@ -290,5 +290,33 @@ TEST(StateDigest, RawFallbackDistinguishesWreckage) {
   EXPECT_NE(imageStateDigest(blank), imageStateDigest(scribbled));
 }
 
+// The raw fallback folds runs of zeros instead of hashing them byte by
+// byte; the digest must still be exactly FNV-1a over the prefix bytes.
+TEST(StateDigest, RawFallbackEqualsByteWiseFnv) {
+  BlockDevice device(8192, 1024);
+  const std::uint8_t junk[] = {0xde, 0x00, 0xad, 0x00, 0x00, 0xbe, 0xef};
+  device.writeBytes(2048, junk);                          // zeros inside a written run
+  device.writeBytes(5000, junk);                          // not word-aligned
+  device.writeBytes(256 * 1024 - 1, std::span(junk).first(1));  // the prefix's last byte
+
+  std::uint64_t hash = 0xCBF29CE484222325ULL;
+  const auto mix = [&hash](std::uint8_t byte) {
+    hash ^= byte;
+    hash *= 0x100000001B3ULL;
+  };
+  const auto mixLe = [&mix](std::uint64_t value, int width) {
+    for (int i = 0; i < width; ++i) mix(static_cast<std::uint8_t>(value >> (8 * i)));
+  };
+  mixLe(device.blockCount(), 4);
+  mixLe(device.blockSize(), 4);
+  mixLe(3, 8);  // the "raw" tag: its length, then its bytes
+  for (const char c : {'r', 'a', 'w'}) mix(static_cast<std::uint8_t>(c));
+  std::vector<std::uint8_t> prefix(256 * 1024);
+  device.readBytes(0, prefix);
+  for (const std::uint8_t byte : prefix) mix(byte);
+
+  EXPECT_EQ(imageStateDigest(device), hash);
+}
+
 }  // namespace
 }  // namespace fsdep::tools

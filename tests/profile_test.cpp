@@ -69,6 +69,47 @@ TEST(Profile, EndOrderedBuffersStillNestParentFirst) {
   ASSERT_NE(findChild(p, *parent, "child"), nullptr);
 }
 
+TEST(Profile, ZeroLengthSiblingsStaySiblings) {
+  // cell [seq 1] runs setup [seq 2] and then op [seq 3], all three in one
+  // microsecond; buffered in end order. Time alone would nest op under
+  // setup; the begin order says setup had ended before op began.
+  const auto seqSpan = [](std::string name, std::uint64_t seq, std::uint64_t last_seq) {
+    TraceEvent e = span("campaign", std::move(name), 7, 0);
+    e.seq = seq;
+    e.last_seq = last_seq;
+    return e;
+  };
+  std::vector<TraceEvent> events;
+  events.push_back(seqSpan("setup", 2, 2));
+  events.push_back(seqSpan("op", 3, 3));
+  events.push_back(seqSpan("cell", 1, 3));
+  const Profile p = buildProfile(events, 1.0, "x");
+  ASSERT_EQ(p.nodes[0].children.size(), 1u);
+  const ProfileNode* cell = findChild(p, p.nodes[0], "cell");
+  ASSERT_NE(cell, nullptr);
+  EXPECT_EQ(cell->children.size(), 2u);
+  const ProfileNode* setup = findChild(p, *cell, "setup");
+  ASSERT_NE(setup, nullptr);
+  EXPECT_TRUE(setup->children.empty()) << "op is setup's sibling, not its child";
+  EXPECT_NE(findChild(p, *cell, "op"), nullptr);
+}
+
+TEST(Profile, RealSequentialSpansStaySiblings) {
+  Trace::start();
+  {
+    Span cell("campaign", "cell");
+    { Span setup("campaign", "setup"); }
+    { Span op("campaign", "op"); }
+  }
+  const Profile p = buildProfile(Trace::stopEvents(), 1.0, "test");
+  const ProfileNode* cell = findChild(p, p.nodes[0], "cell");
+  ASSERT_NE(cell, nullptr);
+  EXPECT_EQ(cell->children.size(), 2u);
+  const ProfileNode* setup = findChild(p, *cell, "setup");
+  ASSERT_NE(setup, nullptr);
+  EXPECT_TRUE(setup->children.empty());
+}
+
 TEST(Profile, GroupSplitsSameNameSpans) {
   std::vector<TraceEvent> events;
   events.push_back(span("pipeline", "analyze", 0, 10, 1, "s1/mke2fs"));

@@ -13,8 +13,10 @@
 #      reports at any --jobs — is exactly a data-race claim), the
 #      failure-eviction and clear()-during-build paths of the component
 #      cache, the on-disk result cache (atomic stores + LRU eviction
-#      against concurrent loads), and the serve daemon (per-connection
-#      threads against the shared memo and shutdown).
+#      against concurrent loads), the scenario-result memo (singleflight
+#      claims, failure eviction, Table 5's claim-all-then-wait order; in
+#      pipeline_test and serve_test), and the serve daemon
+#      (per-connection threads against the shared memos and shutdown).
 # Usage: scripts/check_sanitize.sh [builddir-prefix]
 set -eu
 
